@@ -49,6 +49,7 @@ from .module_space import (
     module_norm,
     random_unit_vector,
     scale,
+    unit_vector_stream,
 )
 from .verify_search import (
     SEARCH_GAP_TOL,
@@ -110,6 +111,7 @@ __all__ = [
     "recompute_gap",
     "restrict_to_fiber",
     "scale",
+    "unit_vector_stream",
     "verify",
     "zero",
 ]

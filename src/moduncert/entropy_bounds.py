@@ -59,10 +59,12 @@ def batch_coefficient_weights(analysis: np.ndarray, xs: np.ndarray) -> np.ndarra
     """Coefficient weights |<x, tau_j>(t)|^2 for a batch of vectors.
 
     ``analysis`` is a frame's (d, m, n) cache and ``xs`` is (batch, n, d);
-    the result has shape (batch, m, d).
+    the result has shape (batch, m, d), C-contiguous.  One matrix-vector
+    product per (vector, fiber), so a vector's weights do not depend on
+    what else is in the batch.
     """
-    coeffs = np.einsum("tji,sit->sjt", analysis, xs)
-    return np.abs(coeffs) ** 2
+    coeffs = np.matmul(analysis, xs.transpose(0, 2, 1)[..., np.newaxis])[..., 0]  # (batch, d, m)
+    return np.ascontiguousarray((np.abs(coeffs) ** 2).transpose(0, 2, 1))
 
 
 def batch_entropy_values(analysis: np.ndarray, xs: np.ndarray,

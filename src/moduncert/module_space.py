@@ -105,13 +105,37 @@ def random_unit_vector(n: int, d: int, seed) -> ModuleVector:
     return ModuleVector(z)
 
 
+def unit_vector_stream(n: int, d: int, seed: int, start: int, count: int) -> np.ndarray:
+    """Units start, ..., start+count-1 of the counter-based stream keyed by seed.
+
+    The stream is ``Philox(key=seed)``.  Unit u owns the K = 4*ceil(2nd/4)
+    uniforms at counter offset u*K/4; its vector is Box-Muller on the first
+    2nd of them, normalized per fiber.  Every unit consumes the same
+    number of draws, so a batch is one generator call and unit i replays
+    alone as ``unit_vector_stream(n, d, seed, i, 1)[0]``, bitwise equal.
+    Returns a (count, n, d) complex array; each [u] is an ``entries`` array.
+    """
+    if n < 1 or d < 1:
+        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+        raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
+    if start < 0 or count < 0:
+        raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
+    nd = n * d
+    k = 4 * -(-2 * nd // 4)
+    bits = np.random.Philox(key=int(seed))
+    bits.advance(start * k // 4)
+    u = np.random.Generator(bits).random((count, k))
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, :nd]))        # log(1 - u), finite on [0, 1)
+    z = (radius * np.exp(2j * np.pi * u[:, nd:2 * nd])).reshape(count, n, d)
+    z /= np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=1, keepdims=True))
+    return z
+
+
 def to_json(x: ModuleVector) -> dict:
     """JSON encoding: {"n": .., "d": .., "entries": n x d array of [re, im]}."""
-    return {
-        "n": x.n,
-        "d": x.d,
-        "entries": [[[float(z.real), float(z.imag)] for z in row] for row in x.entries],
-    }
+    z = x.entries
+    return {"n": x.n, "d": x.d, "entries": np.stack([z.real, z.imag], axis=-1).tolist()}
 
 
 def from_json(data, *, what: str = "module vector") -> ModuleVector:

@@ -11,10 +11,12 @@ the tangent space, step, renormalize) with Armijo backtracking and
 multi-start.  Entropies use the 0*ln(0) extension so boundary infima --
 where the sharper bound is attained -- are reachable.
 
-Determinism contract: the unit of work (trial index, or fiber*restarts
-+ restart for the search) with user seed S always draws from the stream
-seeded S XOR unit-index, so any execution schedule gives identical
-results, and any single trial can be replayed in isolation.
+Determinism contract: every unit of work with user seed S draws the same
+vector under any execution schedule, and any single unit can be replayed
+in isolation.  Verify trial i is unit i of the counter-based stream
+``Philox(key=S)`` (``unit_vector_stream``: a fixed block of counters per
+trial), so distinct seeds give independent samples.  A search start
+(fiber*restarts + restart) is still seeded S XOR unit-index.
 """
 
 from __future__ import annotations
@@ -42,7 +44,13 @@ from .entropy_bounds import (
 from .errors import DimensionMismatch, PreconditionError
 from .frames import Frame
 from .frames import to_json as frame_to_json
-from .module_space import ModuleVector, is_unit_inner, module_norm, random_unit_vector
+from .module_space import (
+    ModuleVector,
+    is_unit_inner,
+    module_norm,
+    random_unit_vector,
+    unit_vector_stream,
+)
 from .module_space import to_json as vector_to_json
 
 BOUND_KINDS = ("deutsch", "maassen_uffink")
@@ -52,7 +60,11 @@ SEARCH_GAP_TOL = 1e-6      # gap below -tol counts as a counterexample candidate
 STIFF_TOL = 1e-6           # weights below this make the log-gradient stiff
 GRAD_TOL = 1e-8            # tangent gradient norm stopping threshold
 
-_VERIFY_CHUNK = 2048       # trials per vectorized batch; no effect on results
+# A vectorized batch holds at most _VERIFY_CHUNK trials and at most
+# _VERIFY_CHUNK_COEFFS coefficients per frame, so that the batch temporaries
+# of large frames stay a few MB.  Neither has an effect on results.
+_VERIFY_CHUNK = 2048
+_VERIFY_CHUNK_COEFFS = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -144,8 +156,9 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
            gap_tol: float = VERIFY_GAP_TOL, zero_tol: float = ZERO_TOL) -> VerificationReport:
     """Sample unit vectors and check the entropy sum against the bound fiberwise.
 
-    Trial i draws its vector from ``random_unit_vector(n, d, seed ^ i)``,
-    so any trial is replayable in isolation.
+    Trial i draws its vector from ``unit_vector_stream(n, d, seed, i, 1)``,
+    unit i of the Philox stream keyed by seed, so any trial is replayable
+    in isolation.  ``seed`` must be an integer in [0, 2**64).
     """
     _check_pair(frame_a, frame_b)
     if trials < 1:
@@ -160,11 +173,10 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
     trial_worst = np.empty(trials, dtype=np.int64)
     violations: list[tuple[int, int, float]] = []
     graze: list[int] = []
-    for start in range(0, trials, _VERIFY_CHUNK):
-        stop = min(start + _VERIFY_CHUNK, trials)
-        xs = np.empty((stop - start, n, d), dtype=np.complex128)
-        for i in range(start, stop):
-            xs[i - start] = random_unit_vector(n, d, seed ^ i).entries
+    chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // (max(frame_a.m, frame_b.m) * d)))
+    for start in range(0, trials, chunk):
+        stop = min(start + chunk, trials)
+        xs = unit_vector_stream(n, d, seed, start, stop - start)
         sa, za = batch_entropy_values(frame_a.analysis, xs, zero_tol)
         sb, zb = batch_entropy_values(frame_b.analysis, xs, zero_tol)
         gaps = (sa + sb) - bound                       # (chunk, d)
@@ -395,8 +407,8 @@ def report_to_dict(report: VerificationReport) -> dict:
         "min_gap": report.min_gap,
         "violations": [[t, f, g] for (t, f, g) in report.violations],
         "boundary_graze_trials": list(report.boundary_graze_trials),
-        "trial_gaps": [float(g) for g in report.trial_gaps],
-        "trial_worst_fiber": [int(t) for t in report.trial_worst_fiber],
+        "trial_gaps": report.trial_gaps.tolist(),
+        "trial_worst_fiber": report.trial_worst_fiber.tolist(),
     }
 
 

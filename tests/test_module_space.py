@@ -13,6 +13,7 @@ from moduncert import (
     norm,
     random_unit_vector,
     scale,
+    unit_vector_stream,
 )
 from moduncert.module_space import from_json, to_json
 
@@ -78,6 +79,47 @@ def test_random_unit_vector_contract():
     assert np.array_equal(x.entries, y.entries)
     z = random_unit_vector(6, 4, 124)
     assert not np.array_equal(x.entries, z.entries)
+
+
+def test_unit_vector_stream_contract():
+    xs = unit_vector_stream(6, 4, 123, 0, 64)
+    assert xs.shape == (64, 6, 4) and xs.dtype == np.complex128
+    assert all(is_unit_inner(ModuleVector(x), 1e-10) for x in xs)
+    assert np.array_equal(unit_vector_stream(6, 4, 123, 10, 20), xs[10:30])
+    for i in (0, 17, 63):
+        assert np.array_equal(unit_vector_stream(6, 4, 123, i, 1)[0], xs[i])
+    # 2nd = 6 uniforms padded to K = 8 per unit: replay still lines up
+    ys = unit_vector_stream(3, 1, 5, 0, 9)
+    assert np.array_equal(unit_vector_stream(3, 1, 5, 7, 2), ys[7:])
+    assert unit_vector_stream(6, 4, 123, 5, 0).shape == (0, 6, 4)
+
+
+def test_unit_vector_stream_adjacent_seeds_share_no_vector():
+    # s ^ 1 == s + 1 at s = 2, so per-unit seeds s ^ u would collide
+    s = 2
+    rows = [{x.tobytes() for x in unit_vector_stream(3, 2, seed, 0, 1024)} for seed in (s, s + 1)]
+    assert len(rows[0]) == len(rows[1]) == 1024
+    assert not rows[0] & rows[1]
+
+
+def test_unit_vector_stream_weight_moments():
+    # |<x, e_1>|^2 on the uniform complex n-sphere is Beta(1, n-1):
+    # E w = 1/n, E w^2 = 2/(n(n+1)), E w^4 = 24/(n(n+1)(n+2)(n+3))
+    n, trials = 4, 10 ** 5
+    w = np.abs(unit_vector_stream(n, 1, 7, 0, trials)[:, 0, 0]) ** 2
+    m2, m4 = 2 / (n * (n + 1)), 24 / (n * (n + 1) * (n + 2) * (n + 3))
+    assert abs(w.mean() - 1 / n) <= 3 * np.sqrt((n - 1) / (n ** 2 * (n + 1)) / trials)
+    assert abs(np.mean(w ** 2) - m2) <= 3 * np.sqrt((m4 - m2 ** 2) / trials)
+
+
+def test_unit_vector_stream_rejects_bad_arguments():
+    for seed in (-1, 2 ** 64, 1.5):
+        with pytest.raises(ValueError, match="seed"):
+            unit_vector_stream(2, 1, seed, 0, 1)
+    with pytest.raises(ValueError, match="start"):
+        unit_vector_stream(2, 1, 0, -1, 1)
+    with pytest.raises(ValueError, match="n >= 1"):
+        unit_vector_stream(0, 1, 0, 0, 1)
 
 
 def test_first_coordinate_weight_moment():

@@ -19,8 +19,10 @@ from moduncert import (
     random_unit_vector,
     recompute_gap,
     restrict_to_fiber,
+    unit_vector_stream,
     verify,
 )
+from moduncert import verify_search
 from moduncert.verify_search import (
     bound_value_for,
     canonical_json,
@@ -91,7 +93,7 @@ def test_verify_trial_replay():
     fb = gen_random_parseval(3, 5, 2, 42)
     rep = verify(fa, fb, "maassen_uffink", trials=64, seed=99)
     for i in (0, 17, 63):
-        x = random_unit_vector(3, 2, 99 ^ i)
+        x = ModuleVector(unit_vector_stream(3, 2, 99, i, 1)[0])
         gap, _ = recompute_gap(fa, fb, x, "maassen_uffink")
         assert gap == pytest.approx(float(rep.trial_gaps[i]), abs=1e-12)
 
@@ -105,6 +107,40 @@ def test_verify_determinism_and_digest():
     assert r1.frames_digest.startswith("sha256:")
     assert r1.frames_digest == frames_digest(fa, fb)
     assert frames_digest(fa, fb) != frames_digest(fb, fa)
+
+
+def test_verify_adjacent_seeds_draw_different_samples():
+    # with per-trial seeds seed ^ i, seeds 2 and 3 drew the same vectors
+    # in a different order
+    fa = gen_random_parseval(3, 5, 2, 61)
+    fb = gen_random_parseval(3, 5, 2, 62)
+    r2 = verify(fa, fb, "deutsch", trials=256, seed=2)
+    r3 = verify(fa, fb, "deutsch", trials=256, seed=3)
+    # disjoint values, so the multisets of trial gaps differ too
+    assert not set(r2.trial_gaps.tolist()) & set(r3.trial_gaps.tolist())
+
+
+def test_verify_chunking_does_not_change_results(monkeypatch):
+    fa = gen_random_parseval(3, 5, 2, 63)
+    fb = gen_random_parseval(3, 5, 2, 64)
+    whole = verify(fa, fb, "deutsch", trials=3000, seed=17)
+    monkeypatch.setattr(verify_search, "_VERIFY_CHUNK", 7)
+    chunked = verify(fa, fb, "deutsch", trials=3000, seed=17)
+    assert np.array_equal(whole.trial_gaps, chunked.trial_gaps)
+    assert np.array_equal(whole.trial_worst_fiber, chunked.trial_worst_fiber)
+    assert report_to_dict(whole) == report_to_dict(chunked)
+    # a coefficient budget below one trial still runs one trial per batch
+    monkeypatch.setattr(verify_search, "_VERIFY_CHUNK_COEFFS", 1)
+    single = verify(fa, fb, "deutsch", trials=3000, seed=17)
+    assert report_to_dict(whole) == report_to_dict(single)
+
+
+def test_verify_rejects_seeds_outside_the_stream_key_range():
+    fa = gen_onb(2, 1, 1)
+    for seed in (-1, 2 ** 64):
+        with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+            verify(fa, fa, "deutsch", trials=10, seed=seed)
+    assert verify(fa, fa, "deutsch", trials=10, seed=2 ** 64 - 1).trials == 10
 
 
 def test_verify_preconditions():
@@ -177,14 +213,15 @@ def test_search_threads_do_not_change_result():
 
 
 def test_optimizer_never_worse_than_sampling():
-    # at d=1 with trials == restarts the optimizer starts exactly at the
-    # sampled vectors, so its minimum cannot exceed the sampled minimum
+    # at d=1 restart r starts at random_unit_vector(3, 1, 44 ^ r) and only
+    # descends, so its minimum cannot exceed the best of its own starts
     fa = gen_random_parseval(3, 6, 1, 95)
     fb = gen_random_parseval(3, 6, 1, 96)
-    rep = verify(fa, fb, "maassen_uffink", trials=16, seed=44)
     res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=16,
                                max_iters=400, seed=44)
-    assert res.best_gap <= rep.min_gap + 1e-12
+    start_gap = min(recompute_gap(fa, fb, random_unit_vector(3, 1, 44 ^ r),
+                                  "maassen_uffink")[0] for r in range(16))
+    assert res.best_gap <= start_gap + 1e-12
 
 
 def test_candidate_classification():
@@ -221,6 +258,31 @@ def test_report_serialization_shapes():
 
 def test_canonical_json_stable():
     assert canonical_json({"b": 1, "a": [1.5, True]}) == b'{"a":[1.5,true],"b":1}'
+
+
+def test_array_json_encoding_matches_per_entry_encoding():
+    import hashlib
+
+    from moduncert.frames import to_json as frame_to_json
+
+    def per_entry(frame):
+        return {"n": frame.n, "m": frame.m, "d": frame.d, "vectors": [
+            {"n": v.n, "d": v.d,
+             "entries": [[[float(z.real), float(z.imag)] for z in row] for row in v.entries]}
+            for v in frame.vectors]}
+
+    fa = gen_random_parseval(4, 7, 3, 131)
+    fb = gen_random_parseval(4, 7, 3, 132)
+    h = hashlib.sha256()
+    for fr in (fa, fb):
+        assert canonical_json(frame_to_json(fr)) == canonical_json(per_entry(fr))
+        h.update(canonical_json(per_entry(fr)))
+    assert frames_digest(fa, fb) == "sha256:" + h.hexdigest()
+    rep = verify(fa, fb, "deutsch", trials=50, seed=5)
+    doc = report_to_dict(rep)
+    assert doc["trial_gaps"] == [float(g) for g in rep.trial_gaps]
+    assert doc["trial_worst_fiber"] == [int(t) for t in rep.trial_worst_fiber]
+    assert all(type(t) is int for t in doc["trial_worst_fiber"])
 
 
 def test_proof_chain_random():
