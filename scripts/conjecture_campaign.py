@@ -1,7 +1,8 @@
 """Random-pair campaign against the Maassen-Uffink style bound.
 
-Draws random Parseval frame pairs over random fiber counts, runs the
-projected gradient search on each, and reports the worst gap
+A command-line front end to ``moduncert.campaign``: draws random
+Parseval frame pairs over random fiber counts, runs the projected
+gradient search on each, and reports the worst gap
 S_A(x) + S_B(x) - (-2 ln mu) found.  A persistent negative gap beyond
 tolerance at an interior point is a counterexample candidate; the run
 then exits 2 and the report carries the witness vector so the claim can
@@ -18,60 +19,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from moduncert import (
-    SEARCH_GAP_TOL,
-    gen_random_parseval,
-    is_counterexample_candidate,
-    minimize_entropy_sum,
-)
+from moduncert import SEARCH_GAP_TOL, campaign, is_counterexample_candidate
 from moduncert.verify_search import search_result_to_dict
-
-
-def run_campaign(pairs: int, restarts: int, max_iters: int, seed: int,
-                 n_max: int, m_max: int, d_max: int, threads: int,
-                 gap_tol: float = SEARCH_GAP_TOL) -> dict:
-    rng = np.random.default_rng(seed)
-    records = []
-    candidates = []
-    worst = np.inf
-    for k in range(pairs):
-        n = int(rng.integers(2, n_max + 1))
-        m = int(rng.integers(n, m_max + 1))
-        d = int(rng.integers(1, d_max + 1))
-        seed_a = int(rng.integers(0, 2 ** 31))
-        seed_b = int(rng.integers(0, 2 ** 31))
-        search_seed = int(rng.integers(0, 2 ** 31))
-        frame_a = gen_random_parseval(n, m, d, seed_a)
-        frame_b = gen_random_parseval(n, m, d, seed_b)
-        result = minimize_entropy_sum(frame_a, frame_b, "maassen_uffink",
-                                      restarts=restarts, max_iters=max_iters,
-                                      seed=search_seed, threads=threads)
-        candidate = is_counterexample_candidate(result, gap_tol)
-        worst = min(worst, result.best_gap)
-        rec = {
-            "pair": k, "n": n, "m": m, "d": d,
-            "seed_a": seed_a, "seed_b": seed_b, "search_seed": search_seed,
-            "mu": result.mu, "bound_value": result.bound_value,
-            "best_gap": result.best_gap,
-            "boundary_grazing": result.boundary_grazing,
-            "converged": result.converged,
-            "candidate": candidate,
-        }
-        if candidate:
-            rec["witness"] = search_result_to_dict(result)
-            candidates.append(k)
-        records.append(rec)
-    return {
-        "kind": "campaign",
-        "pairs": pairs, "restarts": restarts, "max_iters": max_iters,
-        "seed": seed, "gap_tol": gap_tol,
-        "n_max": n_max, "m_max": m_max, "d_max": d_max,
-        "worst_gap": float(worst),
-        "candidate_pairs": candidates,
-        "records": records,
-    }
 
 
 def main() -> int:
@@ -83,20 +32,35 @@ def main() -> int:
     ap.add_argument("--n-max", type=int, default=6)
     ap.add_argument("--m-max", type=int, default=10)
     ap.add_argument("--d-max", type=int, default=4)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", type=Path, default=None)
     args = ap.parse_args()
-    report = run_campaign(args.pairs, args.restarts, args.max_iters, args.seed,
-                          args.n_max, args.m_max, args.d_max, args.threads)
+    records, candidates = [], []
+    for spec, _fa, _fb, result in campaign(args.pairs, args.restarts, args.max_iters, args.seed,
+                                           args.n_max, args.m_max, args.d_max):
+        candidate = is_counterexample_candidate(result, SEARCH_GAP_TOL)
+        rec = {**spec, "mu": result.mu, "bound_value": result.bound_value,
+               "best_gap": result.best_gap, "boundary_grazing": result.boundary_grazing,
+               "converged": result.converged, "candidate": candidate}
+        if candidate:
+            rec["witness"] = search_result_to_dict(result)
+            candidates.append(spec["pair"])
+        records.append(rec)
+    report = {
+        "kind": "campaign",
+        "pairs": args.pairs, "restarts": args.restarts, "max_iters": args.max_iters,
+        "seed": args.seed, "gap_tol": SEARCH_GAP_TOL,
+        "n_max": args.n_max, "m_max": args.m_max, "d_max": args.d_max,
+        "worst_gap": min((r["best_gap"] for r in records), default=float("inf")),
+        "candidate_pairs": candidates,
+        "records": records,
+    }
     if args.out is not None:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(json.dumps(report, indent=2) + "\n")
-    n_cand = len(report["candidate_pairs"])
-    print(f"campaign: pairs={report['pairs']} worst_gap={report['worst_gap']:.3e} "
-          f"candidates={n_cand}")
-    if n_cand:
-        print(f"counterexample candidates at pairs {report['candidate_pairs']}",
-              file=sys.stderr)
+    print(f"campaign: pairs={args.pairs} worst_gap={report['worst_gap']:.3e} "
+          f"candidates={len(candidates)}")
+    if candidates:
+        print(f"counterexample candidates at pairs {candidates}", file=sys.stderr)
         return 2
     return 0
 

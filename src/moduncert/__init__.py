@@ -56,6 +56,7 @@ from .verify_search import (
     VERIFY_GAP_TOL,
     SearchResult,
     VerificationReport,
+    campaign,
     frames_digest,
     is_counterexample_candidate,
     minimize_entropy_sum,
@@ -83,6 +84,7 @@ __all__ = [
     "VerificationReport",
     "ZERO_TOL",
     "buzano_check",
+    "campaign",
     "coherence",
     "cross_inner_norms",
     "deutsch_bound",

@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -49,46 +48,19 @@ _BOUND_ALIASES = {"deutsch": "deutsch", "maassen-uffink": "maassen_uffink",
                   "maassen_uffink": "maassen_uffink"}
 
 
-@dataclass
-class RunConfig:
-    """One fully resolved command invocation."""
-
-    command: str
-    inputs: list[Path]
-    out: Path | None = None
-    csv_out: Path | None = None
-    kind: str | None = None
-    n: int = 1
-    m: int | None = None
-    d: int = 1
-    seed: int = 1
-    trials: int = 1000
-    restarts: int = 32
-    max_iters: int = 2000
-    threads: int = 1
-    bound_kind: str = "deutsch"
-    gap_tol: float = VERIFY_GAP_TOL
-    tol: float = 1e-10
-    zero_tol: float = ZERO_TOL
-    strict: bool = False
-
-    def validate(self) -> None:
-        for name in ("n", "d", "seed", "trials", "restarts", "max_iters", "threads"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
-        if self.m is not None and self.m < 1:
-            raise ValueError(f"--m must be >= 1, got {self.m}")
-        for name in ("gap_tol", "tol", "zero_tol"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"--{name.replace('_', '-')} must be >= 0, got {value}")
+def _at_least(low, convert):
+    """argparse type: convert the text, then require a value >= low."""
+    def check(text: str):
+        value = convert(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    check.__name__ = convert.__name__   # argparse names the type in "invalid int value"
+    return check
 
 
-def _resolve(path: Path | None) -> Path | None:
+def _resolve(path: Path) -> Path:
     """Resolve relative output paths against $MODUNCERT_OUT_DIR when set."""
-    if path is None:
-        return None
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         return Path(base) / path
@@ -123,10 +95,7 @@ def _load_json(path: Path):
 
 
 def _load_frame(path: Path, *, require_parseval: bool = False) -> Frame:
-    try:
-        frame = frames_mod.from_json(_load_json(path), what=f"{path}")
-    except DimensionMismatch as e:
-        raise ValueError(str(e)) from e
+    frame = frames_mod.from_json(_load_json(path), what=f"{path}")
     if require_parseval and not frame.parseval:
         raise ValueError(f"{path}: frame is not Parseval at tol={frame.parseval_tol}")
     return frame
@@ -136,43 +105,38 @@ def _load_vector(path: Path) -> ModuleVector:
     return module_mod.from_json(_load_json(path), what=f"{path}")
 
 
-def _cmd_gen(cfg: RunConfig) -> int:
-    if cfg.out is None:
-        raise ValueError("gen requires --out")
-    out = _resolve(cfg.out)
-    if cfg.kind == "fourier-pair":
-        fra, frb = gen_fourier_pair(cfg.n, cfg.d)
+def _cmd_gen(args) -> int:
+    out = _resolve(args.out)
+    if args.kind == "fourier-pair":
+        fra, frb = gen_fourier_pair(args.n, args.d)
         out.mkdir(parents=True, exist_ok=True)
         for name, fr in (("a.json", fra), ("b.json", frb)):
             _write_json(out / name, "gen", frames_mod.to_json(fr))
-        print(f"wrote {out / 'a.json'} {out / 'b.json'} (fourier-pair n={cfg.n} d={cfg.d})")
+        print(f"wrote {out / 'a.json'} {out / 'b.json'} (fourier-pair n={args.n} d={args.d})")
         return EXIT_OK
-    if cfg.kind == "onb":
-        fr = gen_onb(cfg.n, cfg.d, cfg.seed)
+    if args.kind == "onb":
+        body, default_name = frames_mod.to_json(gen_onb(args.n, args.d, args.seed)), "frame.json"
+    elif args.kind == "random-parseval":
+        m = args.m if args.m is not None else args.n
+        fr = gen_random_parseval(args.n, m, args.d, args.seed)
         body, default_name = frames_mod.to_json(fr), "frame.json"
-    elif cfg.kind == "random-parseval":
-        m = cfg.m if cfg.m is not None else cfg.n
-        fr = gen_random_parseval(cfg.n, m, cfg.d, cfg.seed)
-        body, default_name = frames_mod.to_json(fr), "frame.json"
-    elif cfg.kind == "unit-vector":
-        x = random_unit_vector(cfg.n, cfg.d, cfg.seed)
-        body, default_name = module_mod.to_json(x), "vector.json"
     else:
-        raise ValueError(f"unknown gen kind {cfg.kind!r}; expected one of {_GEN_KINDS}")
+        x = random_unit_vector(args.n, args.d, args.seed)
+        body, default_name = module_mod.to_json(x), "vector.json"
     if out.is_dir():
         out = out / default_name
     _write_json(out, "gen", body)
-    print(f"wrote {out} ({cfg.kind} n={cfg.n} d={cfg.d} seed={cfg.seed})")
+    print(f"wrote {out} ({args.kind} n={args.n} d={args.d} seed={args.seed})")
     return EXIT_OK
 
 
-def _cmd_entropy(cfg: RunConfig) -> int:
-    frame = _load_frame(cfg.inputs[0], require_parseval=True)
-    x = _load_vector(cfg.inputs[1])
-    ev = entropy(frame, x, cfg.zero_tol, strict_unit_frame=cfg.strict)
+def _cmd_entropy(args) -> int:
+    frame = _load_frame(args.frame, require_parseval=True)
+    x = _load_vector(args.vector)
+    ev = entropy(frame, x, args.zero_tol, strict_unit_frame=args.strict)
     reals = ev.value.values.real
-    if cfg.out is not None:
-        _write_json(_resolve(cfg.out), "entropy", {
+    if args.out is not None:
+        _write_json(_resolve(args.out), "entropy", {
             "kind": "entropy",
             "value": algebra_to_json(ev.value),
             "in_domain": ev.in_domain,
@@ -183,23 +147,23 @@ def _cmd_entropy(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _cmd_coherence(cfg: RunConfig) -> int:
-    mu = coherence(_load_frame(cfg.inputs[0]), _load_frame(cfg.inputs[1]))
-    if cfg.out is not None:
-        _write_json(_resolve(cfg.out), "coherence", {"kind": "coherence", "mu": mu})
+def _cmd_coherence(args) -> int:
+    mu = coherence(_load_frame(args.frame_a), _load_frame(args.frame_b))
+    if args.out is not None:
+        _write_json(_resolve(args.out), "coherence", {"kind": "coherence", "mu": mu})
     print(f"{mu:.6f}")
     return EXIT_OK
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    frame_a = _load_frame(cfg.inputs[0], require_parseval=True)
-    frame_b = _load_frame(cfg.inputs[1], require_parseval=True)
-    report = verify(frame_a, frame_b, cfg.bound_kind, cfg.trials, cfg.seed,
-                    cfg.gap_tol, cfg.zero_tol)
-    if cfg.out is not None:
-        _write_json(_resolve(cfg.out), "verify", report_to_dict(report))
-    if cfg.csv_out is not None:
-        path = _resolve(cfg.csv_out)
+def _cmd_verify(args) -> int:
+    frame_a = _load_frame(args.frame_a, require_parseval=True)
+    frame_b = _load_frame(args.frame_b, require_parseval=True)
+    report = verify(frame_a, frame_b, _BOUND_ALIASES[args.bound], args.trials, args.seed,
+                    args.gap_tol, args.zero_tol)
+    if args.out is not None:
+        _write_json(_resolve(args.out), "verify", report_to_dict(report))
+    if args.csv is not None:
+        path = _resolve(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", newline="") as fh:
             csv.writer(fh).writerows(report_csv_rows(report))
@@ -209,24 +173,20 @@ def _cmd_verify(cfg: RunConfig) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
-def _cmd_buzano(cfg: RunConfig) -> int:
-    x = _load_vector(cfg.inputs[0])
-    y = _load_vector(cfg.inputs[1])
-    z = _load_vector(cfg.inputs[2])
-    res = buzano_check(x, y, z, cfg.tol)
+def _cmd_buzano(args) -> int:
+    res = buzano_check(_load_vector(args.x), _load_vector(args.y), _load_vector(args.z), args.tol)
     print(f"buzano: lhs={res.lhs:.6f} rhs={res.rhs:.6f} holds={str(res.holds).lower()}")
     return EXIT_OK if res.holds else EXIT_VIOLATION
 
 
-def _cmd_search(cfg: RunConfig) -> int:
-    frame_a = _load_frame(cfg.inputs[0], require_parseval=True)
-    frame_b = _load_frame(cfg.inputs[1], require_parseval=True)
-    result = minimize_entropy_sum(frame_a, frame_b, cfg.bound_kind,
-                                  restarts=cfg.restarts, max_iters=cfg.max_iters,
-                                  seed=cfg.seed, zero_tol=cfg.zero_tol,
-                                  threads=cfg.threads)
-    if cfg.out is not None:
-        _write_json(_resolve(cfg.out), "search", search_result_to_dict(result))
+def _cmd_search(args) -> int:
+    frame_a = _load_frame(args.frame_a, require_parseval=True)
+    frame_b = _load_frame(args.frame_b, require_parseval=True)
+    result = minimize_entropy_sum(frame_a, frame_b, _BOUND_ALIASES[args.bound],
+                                  restarts=args.restarts, max_iters=args.max_iters,
+                                  seed=args.seed, zero_tol=args.zero_tol)
+    if args.out is not None:
+        _write_json(_resolve(args.out), "search", search_result_to_dict(result))
     candidate = is_counterexample_candidate(result, SEARCH_GAP_TOL)
     verdict = "CANDIDATE" if candidate else ("boundary-grazing" if result.boundary_grazing else "OK")
     print(f"search: bound={result.bound_value:.6f} ({result.bound_kind}, mu={result.mu:.6f})"
@@ -235,34 +195,11 @@ def _cmd_search(cfg: RunConfig) -> int:
     return EXIT_VIOLATION if candidate else EXIT_OK
 
 
-def _cmd_chain(cfg: RunConfig) -> int:
-    frame_a = _load_frame(cfg.inputs[0])
-    frame_b = _load_frame(cfg.inputs[1])
-    x = _load_vector(cfg.inputs[2])
-    ok = proof_chain_check(frame_a, frame_b, x, cfg.tol)
+def _cmd_chain(args) -> int:
+    ok = proof_chain_check(_load_frame(args.frame_a), _load_frame(args.frame_b),
+                           _load_vector(args.x), args.tol)
     print(f"chain: holds={str(ok).lower()}")
     return EXIT_OK if ok else EXIT_VIOLATION
-
-
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "entropy": _cmd_entropy,
-    "coherence": _cmd_coherence,
-    "verify": _cmd_verify,
-    "buzano": _cmd_buzano,
-    "search": _cmd_search,
-    "chain": _cmd_chain,
-}
-
-
-def run(cfg: RunConfig) -> int:
-    """Execute one command; returns the process exit code."""
-    try:
-        cfg.validate()
-        return _COMMANDS[cfg.command](cfg)
-    except (ValueError, PreconditionError, DimensionMismatch, DomainError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_ERROR
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -273,102 +210,70 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, seeded=True):
-        p.add_argument("--out", type=Path, default=None, help="output JSON path")
-        if seeded:
-            p.add_argument("--seed", type=int, default=1)
-        p.add_argument("--threads", type=int, default=1,
-                       help="cap on parallel work units (results are schedule-independent)")
+    def add_command(name, run, summary, *inputs, out=True, seed=False):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        for arg in inputs:
+            p.add_argument(arg, type=Path)
+        if out:
+            p.add_argument("--out", type=Path, default=None, help="output JSON path")
+        if seed:
+            p.add_argument("--seed", type=_at_least(0, int), default=1)
+        return p
 
-    p = sub.add_parser("gen", help="generate frames or unit vectors")
+    p = add_command("gen", _cmd_gen, "generate frames or unit vectors", out=False, seed=True)
+    p.add_argument("--out", type=Path, required=True, help="output JSON path or directory")
     p.add_argument("--kind", choices=_GEN_KINDS, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--d", type=int, default=1)
-    add_common(p)
+    p.add_argument("--n", type=_at_least(1, int), required=True)
+    p.add_argument("--m", type=_at_least(1, int), default=None)
+    p.add_argument("--d", type=_at_least(1, int), default=1)
 
-    p = sub.add_parser("entropy", help="modular Shannon entropy of a vector in a frame")
-    p.add_argument("frame", type=Path)
-    p.add_argument("vector", type=Path)
-    p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
+    p = add_command("entropy", _cmd_entropy, "modular Shannon entropy of a vector in a frame",
+                    "frame", "vector")
+    p.add_argument("--zero-tol", type=_at_least(0.0, float), default=ZERO_TOL)
     p.add_argument("--strict", action="store_true",
                    help="require the frame itself to have unit inner products")
-    add_common(p, seeded=False)
 
-    p = sub.add_parser("coherence", help="max cross inner product norm of two frames")
-    p.add_argument("frame_a", type=Path)
-    p.add_argument("frame_b", type=Path)
-    add_common(p, seeded=False)
+    add_command("coherence", _cmd_coherence, "max cross inner product norm of two frames",
+                "frame_a", "frame_b")
 
-    p = sub.add_parser("verify", help="Monte Carlo check of an uncertainty bound")
-    p.add_argument("frame_a", type=Path)
-    p.add_argument("frame_b", type=Path)
+    p = add_command("verify", _cmd_verify, "Monte Carlo check of an uncertainty bound",
+                    "frame_a", "frame_b", seed=True)
     p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="deutsch")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--gap-tol", type=float, default=VERIFY_GAP_TOL)
-    p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
+    p.add_argument("--trials", type=_at_least(1, int), default=1000)
+    p.add_argument("--gap-tol", type=_at_least(0.0, float), default=VERIFY_GAP_TOL)
+    p.add_argument("--zero-tol", type=_at_least(0.0, float), default=ZERO_TOL)
     p.add_argument("--csv", type=Path, default=None, help="per-trial CSV path")
-    add_common(p)
 
-    p = sub.add_parser("buzano", help="evaluate both sides of the Buzano inequality")
-    p.add_argument("x", type=Path)
-    p.add_argument("y", type=Path)
-    p.add_argument("z", type=Path)
-    p.add_argument("--tol", type=float, default=1e-10)
-    add_common(p, seeded=False)
+    p = add_command("buzano", _cmd_buzano, "evaluate both sides of the Buzano inequality",
+                    "x", "y", "z", out=False)
+    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-10)
 
-    p = sub.add_parser("search", help="minimize the entropy sum against a bound")
-    p.add_argument("frame_a", type=Path)
-    p.add_argument("frame_b", type=Path)
+    p = add_command("search", _cmd_search, "minimize the entropy sum against a bound",
+                    "frame_a", "frame_b", seed=True)
     p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="maassen-uffink")
-    p.add_argument("--restarts", type=int, default=32)
-    p.add_argument("--max-iters", type=int, default=2000)
-    p.add_argument("--zero-tol", type=float, default=ZERO_TOL)
-    add_common(p)
+    p.add_argument("--restarts", type=_at_least(1, int), default=32)
+    p.add_argument("--max-iters", type=_at_least(1, int), default=2000)
+    p.add_argument("--zero-tol", type=_at_least(0.0, float), default=ZERO_TOL)
 
-    p = sub.add_parser("chain", help="check the pairwise product bound behind the proof")
-    p.add_argument("frame_a", type=Path)
-    p.add_argument("frame_b", type=Path)
-    p.add_argument("x", type=Path)
-    p.add_argument("--tol", type=float, default=1e-10)
-    add_common(p, seeded=False)
-
+    p = add_command("chain", _cmd_chain, "check the pairwise product bound behind the proof",
+                    "frame_a", "frame_b", "x", out=False)
+    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-10)
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    inputs = [getattr(args, name) for name in ("frame", "vector", "frame_a", "frame_b", "x", "y", "z")
-              if hasattr(args, name)]
-    # positional declaration order per command
-    order = {
-        "entropy": ("frame", "vector"),
-        "coherence": ("frame_a", "frame_b"),
-        "verify": ("frame_a", "frame_b"),
-        "buzano": ("x", "y", "z"),
-        "search": ("frame_a", "frame_b"),
-        "chain": ("frame_a", "frame_b", "x"),
-    }
-    if args.command in order:
-        inputs = [getattr(args, name) for name in order[args.command]]
-    cfg = RunConfig(command=args.command, inputs=inputs)
-    for name in ("out", "kind", "n", "m", "d", "seed", "trials", "restarts",
-                 "max_iters", "threads", "gap_tol", "tol", "zero_tol", "strict"):
-        if hasattr(args, name):
-            setattr(cfg, name, getattr(args, name))
-    if hasattr(args, "csv"):
-        cfg.csv_out = args.csv
-    if hasattr(args, "bound"):
-        cfg.bound_kind = _BOUND_ALIASES[args.bound]
-    return cfg
-
-
 def main(argv=None) -> int:
+    """Run one command; returns the process exit code."""
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as e:
         # argparse exits 2 on usage errors; remap to the documented usage code
         return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
-    return run(config_from_args(args))
+    try:
+        return args.run(args)
+    except (ValueError, PreconditionError, DimensionMismatch, DomainError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_ERROR
 
 
 if __name__ == "__main__":

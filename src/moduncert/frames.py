@@ -4,9 +4,10 @@ A frame is a family of m module vectors sharing n and d.  Per fiber t
 the family is just m vectors in C^n; stacking the fiber-t analysis
 coefficients row-wise gives the analysis matrix A(t) (row j is the
 conjugate of tau_j's fiber), and the family is Parseval exactly when
-A(t)^H A(t) = I_n in every fiber.  Frames cache those matrices at
-construction because every downstream quantity (entropy, coherence,
-reconstruction) is a per-fiber dense product against them.
+A(t)^H A(t) = I_n in every fiber.  The matrices are the frame: a Frame
+stores only the (d, m, n) stack of them, and every quantity (entropy,
+coherence, reconstruction, both bounds) is a per-fiber dense product
+against it.  The vectors tau_j are derived from it on demand.
 
 Infinite index sets are out of scope: in a rank-n module any Parseval
 frame carries finite essential content, so finite families are the
@@ -20,63 +21,60 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch
-from .module_space import ModuleVector, inner, is_unit_inner, module_norm, scale
-from .module_space import from_json as vector_from_json
-from .module_space import to_json as vector_to_json
+from .module_space import ModuleVector, pairs_from_json, pairs_to_json, vector_header
 
 PARSEVAL_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
-    """Immutable frame with cached per-fiber analysis matrices.
+    """Immutable frame given by its per-fiber analysis matrices.
 
     ``analysis[t]`` is the m x n matrix whose row j is the conjugated
     fiber-t vector of tau_j, so ``analysis[t] @ v`` lists the
-    coefficients <v, tau_j>(t).  ``parseval`` records whether the
-    Parseval identity held at ``parseval_tol`` when the frame was built.
+    coefficients <v, tau_j>(t).  The frame keeps a read-only copy of the
+    array.  ``parseval`` records whether the Parseval identity held at
+    ``parseval_tol`` when the frame was built.  Equality is identity.
     """
 
-    vectors: tuple[ModuleVector, ...]
+    analysis: np.ndarray
     parseval_tol: float = PARSEVAL_TOL
-    analysis: np.ndarray = field(init=False, repr=False, compare=False)
-    parseval: bool = field(init=False, compare=False)
+    parseval: bool = field(init=False)
 
     def __post_init__(self):
-        vecs = tuple(self.vectors)
-        if len(vecs) == 0:
-            raise ValueError("a frame needs at least one vector")
-        n, d = vecs[0].n, vecs[0].d
-        for j, v in enumerate(vecs):
-            if (v.n, v.d) != (n, d):
-                raise DimensionMismatch(
-                    f"frame vector {j} has shape (n={v.n}, d={v.d}), expected (n={n}, d={d})"
-                )
-        if len(vecs) < n:
-            raise ValueError(
-                f"m={len(vecs)} frame vectors cannot be Parseval for rank n={n}; need m >= n"
-            )
+        analysis = np.array(self.analysis, dtype=np.complex128, order="C")
+        if analysis.ndim != 3 or 0 in analysis.shape:
+            raise ValueError(f"analysis must be a nonempty (d, m, n) array, got shape {analysis.shape}")
+        d, m, n = analysis.shape
+        if m < n:
+            raise ValueError(f"m={m} frame vectors cannot be Parseval for rank n={n}; need m >= n")
         if self.parseval_tol < 0:
             raise ValueError(f"parseval_tol must be >= 0, got {self.parseval_tol}")
-        # analysis[t, j, :] = conj(tau_j fiber t)
-        stacked = np.stack([v.entries for v in vecs], axis=0)      # (m, n, d)
-        analysis = np.conj(stacked).transpose(2, 0, 1).copy()      # (d, m, n)
         analysis.setflags(write=False)
-        object.__setattr__(self, "vectors", vecs)
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "parseval", _parseval_defect(analysis) <= self.parseval_tol)
 
     @property
+    def d(self) -> int:
+        return self.analysis.shape[0]
+
+    @property
     def m(self) -> int:
-        return len(self.vectors)
+        return self.analysis.shape[1]
 
     @property
     def n(self) -> int:
-        return self.vectors[0].n
+        return self.analysis.shape[2]
 
     @property
-    def d(self) -> int:
-        return self.vectors[0].d
+    def vectors(self) -> tuple[ModuleVector, ...]:
+        """The frame vectors tau_j, each an n x d module vector."""
+        return tuple(ModuleVector(e) for e in _synthesis(self))
+
+
+def _synthesis(frame: Frame) -> np.ndarray:
+    """(m, n, d) array whose [j] is the entries array of tau_j."""
+    return np.conj(frame.analysis).transpose(1, 2, 0)
 
 
 def _parseval_defect(analysis: np.ndarray) -> float:
@@ -99,33 +97,37 @@ def is_parseval(frame: Frame, tol: float | None = None) -> bool:
 
 
 def reconstruct(frame: Frame, x: ModuleVector) -> ModuleVector:
-    """sum_j <x, tau_j> tau_j; equals x (to tolerance) iff the frame is Parseval."""
+    """sum_j <x, tau_j> tau_j = A^H A x per fiber; equals x (to tolerance) iff Parseval."""
     if (x.n, x.d) != (frame.n, frame.d):
         raise DimensionMismatch(
             f"vector shape (n={x.n}, d={x.d}) does not match frame (n={frame.n}, d={frame.d})"
         )
-    out = np.zeros_like(x.entries)
-    for tau in frame.vectors:
-        out += scale(inner(x, tau), tau).entries
-    return ModuleVector(out)
+    a = frame.analysis
+    out = np.conj(a).transpose(0, 2, 1) @ (a @ x.entries.T[:, :, np.newaxis])   # (d, n, 1)
+    return ModuleVector(out[:, :, 0].T)
+
+
+def _self_inner(frame: Frame) -> np.ndarray:
+    """<tau_j, tau_j>(t) for every fiber and vector, shape (d, m)."""
+    a = frame.analysis
+    return np.sum(a.real ** 2 + a.imag ** 2, axis=2)
 
 
 def has_unit_inner_products(frame: Frame, tol: float = 1e-9) -> bool:
     """True iff <tau_j, tau_j> = 1 for every j."""
-    return all(is_unit_inner(v, tol) for v in frame.vectors)
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol}")
+    return bool(np.max(np.abs(_self_inner(frame) - 1.0)) <= tol)
+
+
+def vector_norms(frame: Frame) -> np.ndarray:
+    """||tau_j|| for every j, shape (m,): the max over fibers of |tau_j(t)|."""
+    return np.sqrt(np.max(_self_inner(frame), axis=0))
 
 
 def max_vector_norm(frame: Frame) -> float:
     """max_j ||tau_j||; at most 1 (up to tolerance) for Parseval frames."""
-    return max(module_norm(v) for v in frame.vectors)
-
-
-def _frame_from_fiber_matrices(mats: np.ndarray, parseval_tol: float) -> Frame:
-    """Build a Frame from per-fiber synthesis matrices, shape (d, m, n): row j of
-    mats[t] is tau_j's fiber-t vector."""
-    d, m, n = mats.shape
-    entries = mats.transpose(1, 2, 0)  # (m, n, d)
-    return Frame(tuple(ModuleVector(entries[j]) for j in range(m)), parseval_tol)
+    return float(np.max(vector_norms(frame)))
 
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -142,8 +144,8 @@ def gen_onb(n: int, d: int, seed) -> Frame:
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
     rng = np.random.default_rng(seed)
-    mats = np.stack([_haar_unitary(n, rng) for _ in range(d)], axis=0)
-    return _frame_from_fiber_matrices(mats, PARSEVAL_TOL)
+    rows = np.stack([_haar_unitary(n, rng) for _ in range(d)], axis=0)
+    return Frame(np.conj(rows))
 
 
 def gen_random_parseval(n: int, m: int, d: int, seed) -> Frame:
@@ -154,12 +156,12 @@ def gen_random_parseval(n: int, m: int, d: int, seed) -> Frame:
     if m < n:
         raise ValueError(f"need m >= n for a Parseval frame, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
-    mats = np.empty((d, m, n), dtype=np.complex128)
+    rows = np.empty((d, m, n), dtype=np.complex128)
     for t in range(d):
         g = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
         u, _, vh = np.linalg.svd(g, full_matrices=False)
-        mats[t] = u @ vh
-    return _frame_from_fiber_matrices(mats, PARSEVAL_TOL)
+        rows[t] = u @ vh
+    return Frame(np.conj(rows))
 
 
 def gen_fourier_pair(n: int, d: int) -> tuple[Frame, Frame]:
@@ -170,14 +172,11 @@ def gen_fourier_pair(n: int, d: int) -> tuple[Frame, Frame]:
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    std = np.broadcast_to(np.eye(n, dtype=np.complex128), (d, n, n))
+    std = np.eye(n, dtype=np.complex128)
     k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     dft = np.exp(2j * np.pi * k * i / n) / np.sqrt(n)  # row k = omega_k
-    four = np.broadcast_to(dft, (d, n, n))
-    return (
-        _frame_from_fiber_matrices(np.array(std), PARSEVAL_TOL),
-        _frame_from_fiber_matrices(np.array(four), PARSEVAL_TOL),
-    )
+    return (Frame(np.broadcast_to(np.conj(std), (d, n, n))),
+            Frame(np.broadcast_to(np.conj(dft), (d, n, n))))
 
 
 def restrict_to_fiber(frame: Frame, t: int) -> Frame:
@@ -188,19 +187,17 @@ def restrict_to_fiber(frame: Frame, t: int) -> Frame:
     """
     if not 0 <= t < frame.d:
         raise ValueError(f"fiber index {t} out of range for d={frame.d}")
-    return Frame(
-        tuple(ModuleVector(v.entries[:, t : t + 1]) for v in frame.vectors),
-        frame.parseval_tol,
-    )
+    return Frame(frame.analysis[t : t + 1], frame.parseval_tol)
 
 
 def to_json(frame: Frame) -> dict:
     """JSON encoding: {"n", "m", "d", "vectors": [ModuleVector...]}."""
+    n, d = frame.n, frame.d
     return {
-        "n": frame.n,
+        "n": n,
         "m": frame.m,
-        "d": frame.d,
-        "vectors": [vector_to_json(v) for v in frame.vectors],
+        "d": d,
+        "vectors": [{"n": n, "d": d, "entries": e} for e in pairs_to_json(_synthesis(frame))],
     }
 
 
@@ -215,12 +212,13 @@ def from_json(data, *, what: str = "frame", parseval_tol: float = PARSEVAL_TOL) 
     vecs_json = data["vectors"]
     if not isinstance(vecs_json, list) or len(vecs_json) != m:
         raise ValueError(f"{what}: expected m={m} vectors, got {len(vecs_json) if isinstance(vecs_json, list) else type(vecs_json).__name__}")
-    vecs = []
+    if m < 1:
+        raise ValueError(f"{what}: a frame needs at least one vector")
     for j, vj in enumerate(vecs_json):
-        v = vector_from_json(vj, what=f"{what}: vector {j}")
-        if (v.n, v.d) != (n, d):
+        shape = vector_header(vj, f"{what}: vector {j}")
+        if shape != (n, d):
             raise ValueError(
-                f"{what}: vector {j} has (n={v.n}, d={v.d}), header says (n={n}, d={d})"
+                f"{what}: vector {j} has (n={shape[0]}, d={shape[1]}), header says (n={n}, d={d})"
             )
-        vecs.append(v)
-    return Frame(tuple(vecs), parseval_tol)
+    synthesis = pairs_from_json([vj["entries"] for vj in vecs_json], (m, n, d), what)
+    return Frame(np.conj(synthesis).transpose(2, 0, 1), parseval_tol)

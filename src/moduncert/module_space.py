@@ -21,9 +21,12 @@ from .errors import DimensionMismatch
 UNIT_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModuleVector:
-    """Element of C(X)^n; ``entries[i, t]`` is coordinate i at point t."""
+    """Element of C(X)^n; ``entries[i, t]`` is coordinate i at point t.
+
+    Equality is identity: entries are arrays, so compare them explicitly.
+    """
 
     entries: np.ndarray
 
@@ -132,14 +135,55 @@ def unit_vector_stream(n: int, d: int, seed: int, start: int, count: int) -> np.
     return z
 
 
-def to_json(x: ModuleVector) -> dict:
-    """JSON encoding: {"n": .., "d": .., "entries": n x d array of [re, im]}."""
-    z = x.entries
-    return {"n": x.n, "d": x.d, "entries": np.stack([z.real, z.imag], axis=-1).tolist()}
+def pairs_to_json(z: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs, one per entry of the complex array z."""
+    return np.stack([z.real, z.imag], axis=-1).tolist()
 
 
-def from_json(data, *, what: str = "module vector") -> ModuleVector:
-    """Decode and validate the ModuleVector JSON encoding."""
+def pairs_from_json(block, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """Complex array of the given shape from nested lists of [re, im] number pairs.
+
+    ``shape`` is (n, d) for one vector's entries, or (m, n, d) for the
+    entries of m vectors.  Well-formed input is decoded by one
+    ``np.asarray`` call.  Anything else is walked by ``_check_pairs``,
+    which raises a ValueError naming the vector, row and fiber at fault.
+    """
+    try:
+        arr = np.asarray(block)
+    except (ValueError, TypeError, OverflowError):      # ragged nesting
+        arr = None
+    if arr is None or arr.shape != (*shape, 2) or arr.dtype.kind not in "biuf":
+        _check_pairs(block, shape, what)
+        arr = np.array(block, dtype=np.float64)         # valid, but ints beyond int64
+    return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _check_pairs(block, shape: tuple[int, ...], what: str) -> None:
+    def size(x):
+        return len(x) if isinstance(x, list) else type(x).__name__
+
+    if len(shape) == 3:
+        for j, rows in enumerate(block):
+            _check_pairs(rows, shape[1:], f"{what}: vector {j}")
+        return
+    n, d = shape
+    if not isinstance(block, list) or len(block) != n:
+        raise ValueError(f"{what}: entries must be an array of n={n} rows, got {size(block)}")
+    for i, row in enumerate(block):
+        if not isinstance(row, list) or len(row) != d:
+            raise ValueError(f"{what}: row {i} must hold d={d} fibers, got {size(row)}")
+        for t, pair in enumerate(row):
+            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
+                    or not all(isinstance(u, (int, float)) for u in pair)):
+                raise ValueError(f"{what}: row {i}, fiber {t} is not a [re, im] pair: {pair!r}")
+            try:
+                float(pair[0]), float(pair[1])
+            except OverflowError:
+                raise ValueError(f"{what}: row {i}, fiber {t} is beyond float range") from None
+
+
+def vector_header(data, what: str) -> tuple[int, int]:
+    """Validate the fields of a ModuleVector JSON object; returns (n, d)."""
     if not isinstance(data, dict):
         raise ValueError(f"{what}: expected an object with n, d, entries")
     for key in ("n", "d", "entries"):
@@ -148,16 +192,15 @@ def from_json(data, *, what: str = "module vector") -> ModuleVector:
     n, d = data["n"], data["d"]
     if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 1):
         raise ValueError(f"{what}: n and d must be integers >= 1, got n={n!r}, d={d!r}")
-    rows = data["entries"]
-    if not isinstance(rows, list) or len(rows) != n:
-        raise ValueError(f"{what}: entries must be an array of n={n} rows, got {len(rows) if isinstance(rows, list) else type(rows).__name__}")
-    arr = np.empty((n, d), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        if not isinstance(row, list) or len(row) != d:
-            raise ValueError(f"{what}: row {i} must hold d={d} fibers, got {len(row) if isinstance(row, list) else type(row).__name__}")
-        for t, pair in enumerate(row):
-            if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(u, (int, float)) for u in pair)):
-                raise ValueError(f"{what}: row {i}, fiber {t} is not a [re, im] pair: {pair!r}")
-            arr[i, t] = complex(pair[0], pair[1])
-    return ModuleVector(arr)
+    return n, d
+
+
+def to_json(x: ModuleVector) -> dict:
+    """JSON encoding: {"n": .., "d": .., "entries": n x d array of [re, im]}."""
+    return {"n": x.n, "d": x.d, "entries": pairs_to_json(x.entries)}
+
+
+def from_json(data, *, what: str = "module vector") -> ModuleVector:
+    """Decode and validate the ModuleVector JSON encoding."""
+    n, d = vector_header(data, what)
+    return ModuleVector(pairs_from_json(data["entries"], (n, d), what))

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,12 +41,11 @@ from .entropy_bounds import (
     project_tangent,
 )
 from .errors import DimensionMismatch, PreconditionError
-from .frames import Frame
+from .frames import Frame, gen_random_parseval, vector_norms
 from .frames import to_json as frame_to_json
 from .module_space import (
     ModuleVector,
     is_unit_inner,
-    module_norm,
     random_unit_vector,
     unit_vector_stream,
 )
@@ -329,8 +327,7 @@ def _search_fiber(mats, n, restarts, max_iters, seed, t, zero_tol, grad_tol):
 
 def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
                          restarts: int = 32, max_iters: int = 2000, seed: int = 0,
-                         zero_tol: float = ZERO_TOL, grad_tol: float = GRAD_TOL,
-                         threads: int = 1) -> SearchResult:
+                         zero_tol: float = ZERO_TOL, grad_tol: float = GRAD_TOL) -> SearchResult:
     """Minimize the pointwise-minimum-over-fibers entropy sum over unit x.
 
     The problem decouples into one sphere minimization per fiber;
@@ -344,26 +341,17 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
-    if threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
     n, d = frame_a.n, frame_a.d
 
-    def run_fiber(t):
-        mats = [frame_a.analysis[t], frame_b.analysis[t]]
-        return _search_fiber(mats, n, restarts, max_iters, seed, t, zero_tol, grad_tol)
-
-    if threads > 1 and d > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            fiber_results = list(pool.map(run_fiber, range(d)))
-    else:
-        fiber_results = [run_fiber(t) for t in range(d)]
-
     entries = np.empty((n, d), dtype=np.complex128)
     iterations_used = 0
     converged = True
-    for t, (v, _f, conv, iters) in enumerate(fiber_results):
+    for t in range(d):
+        mats = [frame_a.analysis[t], frame_b.analysis[t]]
+        v, _f, conv, iters = _search_fiber(mats, n, restarts, max_iters, seed, t,
+                                           zero_tol, grad_tol)
         entries[:, t] = v
         iterations_used += iters
         converged = converged and conv
@@ -391,6 +379,32 @@ def is_counterexample_candidate(result: SearchResult, gap_tol: float = SEARCH_GA
     """A candidate needs a genuinely negative gap away from the boundary;
     boundary-grazing minima live outside the strict entropy domain."""
     return result.best_gap < -gap_tol and not result.boundary_grazing
+
+
+def campaign(pairs: int, restarts: int, max_iters: int, seed: int,
+             n_max: int, m_max: int, d_max: int):
+    """Search random Parseval frame pairs against the Maassen-Uffink bound.
+
+    Pair k draws, from ``default_rng(seed)`` and in this order, n in
+    [2, n_max], m in [n, m_max], d in [1, d_max], the seeds of its two
+    frames and the seed of its search.  Yields, pair by pair,
+    ``(spec, frame_a, frame_b, result)``, where spec holds the pair index
+    and those draws and result is the ``minimize_entropy_sum`` outcome.
+    """
+    rng = np.random.default_rng(seed)
+    for k in range(pairs):
+        n = int(rng.integers(2, n_max + 1))
+        m = int(rng.integers(n, m_max + 1))
+        d = int(rng.integers(1, d_max + 1))
+        spec = {"pair": k, "n": n, "m": m, "d": d,
+                "seed_a": int(rng.integers(0, 2 ** 31)),
+                "seed_b": int(rng.integers(0, 2 ** 31)),
+                "search_seed": int(rng.integers(0, 2 ** 31))}
+        frame_a = gen_random_parseval(n, m, d, spec["seed_a"])
+        frame_b = gen_random_parseval(n, m, d, spec["seed_b"])
+        result = minimize_entropy_sum(frame_a, frame_b, "maassen_uffink", restarts=restarts,
+                                      max_iters=max_iters, seed=spec["search_seed"])
+        yield spec, frame_a, frame_b, result
 
 
 def report_to_dict(report: VerificationReport) -> dict:
@@ -441,7 +455,7 @@ def search_result_to_dict(result: SearchResult) -> dict:
 
 def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector,
                       tol: float = 1e-10) -> bool:
-    """Check the pairwise product bound the uncertainty proof threads through
+    """Check the pairwise product bound the uncertainty proof passes through
     the monotone logarithm:
 
         ||<tau_j, x><x, omega_k>|| <= (||tau_j|| ||omega_k|| + ||<tau_j, omega_k>||)/2
@@ -460,7 +474,6 @@ def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector,
     ca = np.abs(np.einsum("tji,it->jt", frame_a.analysis, x.entries))   # (m_a, d)
     cb = np.abs(np.einsum("tki,it->kt", frame_b.analysis, x.entries))   # (m_b, d)
     lhs = np.max(ca[:, np.newaxis, :] * cb[np.newaxis, :, :], axis=2)   # (m_a, m_b)
-    norms_a = np.array([module_norm(v) for v in frame_a.vectors])
-    norms_b = np.array([module_norm(v) for v in frame_b.vectors])
-    rhs = 0.5 * (np.outer(norms_a, norms_b) + cross_inner_norms(frame_a, frame_b))
+    rhs = 0.5 * (np.outer(vector_norms(frame_a), vector_norms(frame_b))
+                 + cross_inner_norms(frame_a, frame_b))
     return bool(np.all(lhs <= rhs + tol))

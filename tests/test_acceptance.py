@@ -20,6 +20,7 @@ from moduncert import (
     AlgebraElement,
     ModuleVector,
     buzano_check,
+    campaign,
     gen_fourier_pair,
     gen_onb,
     gen_random_parseval,
@@ -245,17 +246,10 @@ def test_c6_tightness_probe():
 
 
 def _run_c7():
-    rng = np.random.default_rng(7007)
     artifacts = {}
     info = {"pairs": 50, "worst_gap": math.inf, "candidates": [], "replay_ok": True}
-    for k in range(50):
-        n = int(rng.integers(2, 7))
-        m = int(rng.integers(n, 11))
-        d = int(rng.integers(1, 5))
-        fa = gen_random_parseval(n, m, d, int(rng.integers(0, 2 ** 31)))
-        fb = gen_random_parseval(n, m, d, int(rng.integers(0, 2 ** 31)))
-        res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=32,
-                                   max_iters=2000, seed=int(rng.integers(0, 2 ** 31)))
+    for spec, fa, fb, res in campaign(50, 32, 2000, 7007, n_max=6, m_max=10, d_max=4):
+        k = spec["pair"]
         info["worst_gap"] = min(info["worst_gap"], res.best_gap)
         doc = search_result_to_dict(res)
         artifacts[f"search_{k:02d}.json"] = _render_report("search", doc)

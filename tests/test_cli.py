@@ -5,8 +5,9 @@ import sys
 import pytest
 
 from moduncert import frames as frames_mod
-from moduncert import is_parseval
+from moduncert import is_parseval, verify
 from moduncert.cli import main
+from moduncert.verify_search import report_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +114,23 @@ def test_buzano_and_chain_commands(tmp_path, pair, capsys):
     code, out, _ = run_cli(capsys, "chain", str(a), str(b), str(tmp_path / "x.json"))
     assert code == 0
     assert out.strip() == "chain: holds=true"
+    # neither command writes a report, so neither takes --out
+    x = str(tmp_path / "x.json")
+    for argv in (("buzano", x, x, x), ("chain", str(a), str(b), x)):
+        code, _, err = run_cli(capsys, *argv, "--out", str(tmp_path / "r.json"))
+        assert code == 1 and "--out" in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_verify_accepts_seed_zero(tmp_path, pair, capsys):
+    a, b = pair
+    code, _, _ = run_cli(capsys, "verify", str(a), str(b), "--trials", "64",
+                         "--seed", "0", "--out", str(tmp_path / "r.json"))
+    assert code == 0
+    doc = json.loads((tmp_path / "r.json").read_text())
+    del doc["header"]
+    fa, fb = (frames_mod.from_json(json.loads(p.read_text())) for p in pair)
+    assert doc == report_to_dict(verify(fa, fb, "deutsch", trials=64, seed=0))
 
 
 def test_malformed_json_exits_1(tmp_path, pair, capsys):
@@ -130,13 +148,14 @@ def test_malformed_json_exits_1(tmp_path, pair, capsys):
 
 def test_field_diagnostics_exit_1(tmp_path, pair, capsys):
     a, _ = pair
-    doc = json.loads(a.read_text())
-    doc["vectors"][0]["entries"][0][0] = [1.0]
-    bad = tmp_path / "badfield.json"
-    bad.write_text(json.dumps(doc))
-    code, _, err = run_cli(capsys, "coherence", str(bad), str(a))
-    assert code == 1
-    assert "badfield.json" in err
+    for pair_json in ([1.0], [10 ** 400, 0]):   # a short pair, an integer beyond float range
+        doc = json.loads(a.read_text())
+        doc["vectors"][0]["entries"][0][0] = pair_json
+        bad = tmp_path / "badfield.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(capsys, "coherence", str(bad), str(a))
+        assert code == 1
+        assert err.startswith("error: ") and "badfield.json: vector 0: row 0, fiber 0" in err
 
 
 def test_non_parseval_exits_1(tmp_path, pair, capsys):
@@ -165,6 +184,8 @@ def test_usage_error_exits_1(capsys):
     assert run_cli(capsys, "verify")[0] == 1
     assert run_cli(capsys, "gen", "--kind", "nope", "--n", "2", "--out", "x")[0] == 1
     assert run_cli(capsys, "verify", "a", "b", "--trials", "0")[0] == 1
+    code, _, err = run_cli(capsys, "verify", "a", "b", "--seed", "-1")
+    assert code == 1 and "--seed: must be >= 0" in err
 
 
 def test_out_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):

@@ -25,9 +25,7 @@ from moduncert.entropy_bounds import (
 
 
 def standard_basis_frame(n, d=1):
-    return Frame(tuple(
-        ModuleVector(np.tile(np.eye(n, dtype=complex)[j][:, None], (1, d)))
-        for j in range(n)))
+    return Frame(np.broadcast_to(np.eye(n), (d, n, n)))
 
 
 def test_entropy_uniform_superposition():
@@ -65,7 +63,7 @@ def test_entropy_preconditions():
     not_unit = ModuleVector(np.array([[0.5], [0.0]], dtype=complex))
     with pytest.raises(PreconditionError, match="unit"):
         entropy(fr, not_unit)
-    scaled = Frame(tuple(ModuleVector(0.9 * v.entries) for v in fr.vectors))
+    scaled = Frame(0.9 * fr.analysis)
     x = random_unit_vector(2, 1, 0)
     with pytest.raises(PreconditionError, match="Parseval"):
         entropy(scaled, x)
@@ -119,11 +117,8 @@ def test_coherence_fourier_pair():
 def test_coherence_mixed_fibers_takes_sup():
     # fiber 1: identical bases (coherence 1); fiber 2: mutually unbiased
     fra, frb = gen_fourier_pair(2, 1)
-    a_vecs = [ModuleVector(np.concatenate([v.entries, v.entries], axis=1))
-              for v in fra.vectors]
-    b_vecs = [ModuleVector(np.concatenate([a.entries, b.entries], axis=1))
-              for a, b in zip(fra.vectors, frb.vectors)]
-    mu = coherence(Frame(tuple(a_vecs)), Frame(tuple(b_vecs)))
+    mu = coherence(Frame(np.concatenate([fra.analysis, fra.analysis])),
+                   Frame(np.concatenate([fra.analysis, frb.analysis])))
     assert mu == pytest.approx(1.0, abs=1e-12)
 
 

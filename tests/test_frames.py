@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from moduncert import (
-    DimensionMismatch,
     Frame,
     ModuleVector,
     gen_fourier_pair,
@@ -15,15 +14,15 @@ from moduncert import (
     random_unit_vector,
     reconstruct,
     restrict_to_fiber,
+    scale,
 )
 from moduncert.frames import from_json, max_vector_norm, to_json
 
 
 def frame_from_rows(rows, d=1):
-    # rows: m x n real/complex, replicated across d fibers
-    vecs = [ModuleVector(np.tile(np.asarray(r, dtype=complex)[:, None], (1, d)))
-            for r in rows]
-    return Frame(tuple(vecs))
+    # rows: m x n real/complex frame vectors, replicated across d fibers
+    rows = np.asarray(rows, dtype=complex)
+    return Frame(np.broadcast_to(np.conj(rows), (d, *rows.shape)))
 
 
 def mercedes_frame():
@@ -59,12 +58,15 @@ def test_reconstruct_identity():
     x = random_unit_vector(3, 4, 1)
     err = np.max(np.abs(reconstruct(fr, x).entries - x.entries))
     assert err <= 1e-10
+    # the per-vector sum sum_j <x, tau_j> tau_j is the reference
+    ref = sum(scale(inner(x, tau), tau).entries for tau in fr.vectors)
+    assert np.max(np.abs(reconstruct(fr, x).entries - ref)) <= 1e-14
 
 
 def test_reconstruct_scales_quadratically():
     fr = gen_onb(3, 2, 5)
     c = 0.7 + 0.2j
-    scaled = Frame(tuple(ModuleVector(c * v.entries) for v in fr.vectors))
+    scaled = Frame(np.conj(c) * fr.analysis)   # tau_j -> c tau_j
     x = random_unit_vector(3, 2, 6)
     out = reconstruct(scaled, x).entries
     assert np.max(np.abs(out - abs(c) ** 2 * x.entries)) <= 1e-10
@@ -151,23 +153,35 @@ def test_restrict_to_fiber():
 def test_mixed_fiber_frame_is_parseval():
     # fiber 1 standard basis, fiber 2 Fourier basis
     fra, frb = gen_fourier_pair(2, 1)
-    vecs = [ModuleVector(np.concatenate([a.entries, b.entries], axis=1))
-            for a, b in zip(fra.vectors, frb.vectors)]
-    mixed = Frame(tuple(vecs))
+    mixed = Frame(np.concatenate([fra.analysis, frb.analysis]))
     assert mixed.d == 2
     assert is_parseval(mixed)
 
 
 def test_frame_requires_m_geq_n():
+    with pytest.raises(ValueError, match="m >= n"):
+        Frame(np.array([[[1.0, 0.0]]]))
+    for bad in (np.eye(2), np.zeros((0, 2, 2)), np.zeros((1, 2, 0))):
+        with pytest.raises(ValueError, match=r"\(d, m, n\)"):
+            Frame(bad)
+
+
+def test_frame_keeps_a_read_only_copy():
+    source = np.eye(2)[np.newaxis].copy()
+    fr = Frame(source)
+    source[0, 0, 0] = 5.0
+    assert fr.analysis[0, 0, 0] == 1.0 and fr.parseval and fr.analysis.dtype == np.complex128
     with pytest.raises(ValueError):
-        Frame((ModuleVector(np.array([[1.0], [0.0]], dtype=complex)),))
+        fr.analysis[0, 0, 0] = 0.0
 
 
-def test_frame_requires_shared_shapes():
-    a = ModuleVector(np.eye(2, dtype=complex))
-    b = ModuleVector(np.ones((3, 2), dtype=complex))
-    with pytest.raises(DimensionMismatch):
-        Frame((a, b))
+def test_frames_compare_and_hash_by_identity():
+    fr, again = gen_onb(2, 1, 3), gen_onb(2, 1, 3)
+    assert fr == fr and fr != again
+    assert len({fr, fr, again}) == 2
+    x, y = random_unit_vector(2, 1, 4), random_unit_vector(2, 1, 4)
+    assert x == x and x != y
+    assert len({x, x, y}) == 2
 
 
 def test_json_round_trip_bytes():
@@ -181,10 +195,41 @@ def test_json_round_trip_bytes():
         assert np.array_equal(a.entries, b.entries)
 
 
+def test_json_round_trip_keeps_signed_zeros():
+    import json
+    doc = {"n": 2, "m": 2, "d": 1, "vectors": [
+        {"n": 2, "d": 1, "entries": [[[1.0, -0.0]], [[-0.0, 0.0]]]},
+        {"n": 2, "d": 1, "entries": [[[0.0, 0.0]], [[-0.0, -0.0]]]}]}
+    fr = from_json(doc)
+    assert json.dumps(to_json(fr)) == json.dumps(doc)
+    signs = np.signbit(np.stack([fr.analysis.real, fr.analysis.imag], axis=-1))
+    # analysis is conj(entries): the imaginary sign flips, the real sign stays
+    assert signs[0].tolist() == [[[False, False], [True, True]],
+                                 [[False, True], [True, False]]]
+
+
 def test_from_json_diagnostics():
-    with pytest.raises((ValueError, DimensionMismatch), match="vector 1"):
-        from_json({"n": 2, "m": 2, "d": 1,
-                   "vectors": [{"n": 2, "d": 1, "entries": [[[1.0, 0.0]], [[0.0, 0.0]]]},
-                               {"n": 1, "d": 1, "entries": [[[1.0, 0.0]]]}]})
+    def one_vector(**fields):
+        return {"n": 2, "m": 2, "d": 1,
+                "vectors": [{"n": 2, "d": 1, "entries": [[[1.0, 0.0]], [[0.0, 0.0]]]},
+                            {"n": 2, "d": 1, "entries": [[[0.0, 0.0]], [[1.0, 0.0]]], **fields}]}
+
+    # vectors must share the header's shape
+    with pytest.raises(ValueError, match="vector 1"):
+        from_json(one_vector(n=1, entries=[[[1.0, 0.0]]]))
+    with pytest.raises(ValueError, match="vector 1"):
+        from_json(one_vector(d=2, entries=[[[1.0, 0.0], [1.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]))
     with pytest.raises(ValueError, match="vectors"):
         from_json({"n": 2, "m": 2, "d": 1})
+    # malformed entries are named down to the vector, row and fiber
+    for entries, match in (([[[1.0, 0.0]]], "vector 1: entries must be an array of n=2 rows"),
+                           ([[[1.0, 0.0]], "x"], "vector 1: row 1 must hold d=1 fibers"),
+                           ([[[1.0, 0.0]], [[1.0, "0"]]], r"vector 1: row 1, fiber 0 is not"),
+                           ([[[1.0, 0.0]], [[1.0, None]]], r"vector 1: row 1, fiber 0 is not"),
+                           ([[[1.0, 0.0]], [[1.0]]], r"vector 1: row 1, fiber 0 is not"),
+                           ([[[1.0, 0.0]], [[10 ** 400, 0]]], "vector 1: row 1, fiber 0 is beyond")):
+        with pytest.raises(ValueError, match=match):
+            from_json(one_vector(entries=entries), what="f.json")
+    # integers beyond int64 but within float range still decode
+    fr = from_json(one_vector(entries=[[[0.0, 0.0]], [[2 ** 70, 0]]]))
+    assert fr.analysis[0, 1, 1] == 2.0 ** 70

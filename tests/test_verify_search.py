@@ -145,7 +145,7 @@ def test_verify_rejects_seeds_outside_the_stream_key_range():
 
 def test_verify_preconditions():
     fa = gen_onb(2, 1, 1)
-    scaled = Frame(tuple(ModuleVector(0.9 * v.entries) for v in fa.vectors))
+    scaled = Frame(0.9 * fa.analysis)
     with pytest.raises(PreconditionError, match="Parseval"):
         verify(scaled, fa, "deutsch", trials=10, seed=0)
     with pytest.raises(DimensionMismatch):
@@ -200,18 +200,6 @@ def test_search_decoupling_across_fibers():
     assert res.best_gap == pytest.approx(worst_entropy - res.bound_value, abs=1e-6)
 
 
-def test_search_threads_do_not_change_result():
-    fa = gen_random_parseval(2, 4, 4, 91)
-    fb = gen_random_parseval(2, 4, 4, 92)
-    r1 = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4,
-                              max_iters=200, seed=12, threads=1)
-    r3 = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4,
-                              max_iters=200, seed=12, threads=3)
-    assert np.array_equal(r1.best_x.entries, r3.best_x.entries)
-    assert r1.best_gap == r3.best_gap
-    assert r1.iterations_used == r3.iterations_used
-
-
 def test_optimizer_never_worse_than_sampling():
     # at d=1 restart r starts at random_unit_vector(3, 1, 44 ^ r) and only
     # descends, so its minimum cannot exceed the best of its own starts
@@ -263,6 +251,7 @@ def test_canonical_json_stable():
 def test_array_json_encoding_matches_per_entry_encoding():
     import hashlib
 
+    from moduncert.frames import from_json as frame_from_json
     from moduncert.frames import to_json as frame_to_json
 
     def per_entry(frame):
@@ -277,6 +266,11 @@ def test_array_json_encoding_matches_per_entry_encoding():
     for fr in (fa, fb):
         assert canonical_json(frame_to_json(fr)) == canonical_json(per_entry(fr))
         h.update(canonical_json(per_entry(fr)))
+        # the array decoder against a per-entry complex(re, im) decode
+        doc = per_entry(fr)
+        ref = np.array([[[complex(*pair) for pair in row] for row in v["entries"]]
+                        for v in doc["vectors"]])
+        assert np.array_equal(frame_from_json(doc).analysis, np.conj(ref).transpose(2, 0, 1))
     assert frames_digest(fa, fb) == "sha256:" + h.hexdigest()
     rep = verify(fa, fb, "deutsch", trials=50, seed=5)
     doc = report_to_dict(rep)
@@ -308,10 +302,8 @@ def test_proof_chain_saturation():
 
 def test_proof_chain_mixed_fibers():
     fra, frb = gen_fourier_pair(2, 1)
-    mixed_a = Frame(tuple(ModuleVector(np.concatenate([v.entries, v.entries], axis=1))
-                          for v in fra.vectors))
-    mixed_b = Frame(tuple(ModuleVector(np.concatenate([a.entries, b.entries], axis=1))
-                          for a, b in zip(fra.vectors, frb.vectors)))
+    mixed_a = Frame(np.concatenate([fra.analysis, fra.analysis]))
+    mixed_b = Frame(np.concatenate([fra.analysis, frb.analysis]))
     x = random_unit_vector(2, 2, 5)
     assert proof_chain_check(mixed_a, mixed_b, x)
 
