@@ -217,7 +217,7 @@ def from_json(data, *, what: str = "frame", parseval_tol: float = PARSEVAL_TOL) 
     for j, vj in enumerate(vecs_json):
         shape = vector_header(vj, f"{what}: vector {j}")
         if shape != (n, d):
-            raise ValueError(
+            raise DimensionMismatch(
                 f"{what}: vector {j} has (n={shape[0]}, d={shape[1]}), header says (n={n}, d={d})"
             )
     synthesis = pairs_from_json([vj["entries"] for vj in vecs_json], (m, n, d), what)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moduncert import (
+    DimensionMismatch,
     Frame,
     ModuleVector,
     gen_fourier_pair,
@@ -17,6 +18,7 @@ from moduncert import (
     scale,
 )
 from moduncert.frames import from_json, max_vector_norm, to_json
+from moduncert.module_space import to_json as vector_to_json
 
 
 def frame_from_rows(rows, d=1):
@@ -164,6 +166,15 @@ def test_frame_requires_m_geq_n():
     for bad in (np.eye(2), np.zeros((0, 2, 2)), np.zeros((1, 2, 0))):
         with pytest.raises(ValueError, match=r"\(d, m, n\)"):
             Frame(bad)
+
+
+def test_frame_requires_shared_shapes():
+    a = ModuleVector(np.eye(2, dtype=complex))
+    b = ModuleVector(np.ones((3, 2), dtype=complex))
+    doc = {"n": 2, "m": 2, "d": 2,
+           "vectors": [vector_to_json(a), vector_to_json(b)]}
+    with pytest.raises(DimensionMismatch, match="vector 1"):
+        from_json(doc)
 
 
 def test_frame_keeps_a_read_only_copy():
