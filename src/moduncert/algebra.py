@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import DimensionMismatch, DomainError, check_tolerance
 
 # Absolute tolerance for positivity / order checks on floating-point data.
 POSITIVITY_TOL = 1e-9
@@ -107,8 +107,7 @@ def norm(a: AlgebraElement) -> float:
 
 def is_positive(a: AlgebraElement, tol: float = POSITIVITY_TOL) -> bool:
     """True iff every value is, within tol, a nonnegative real."""
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_tolerance("tol", tol)
     v = a.values
     return bool(np.all(np.abs(v.imag) <= tol) and np.all(v.real >= -tol))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -49,9 +50,11 @@ _BOUND_ALIASES = {"deutsch": "deutsch", "maassen-uffink": "maassen_uffink",
 
 
 def _at_least(low, convert):
-    """argparse type: convert the text, then require a value >= low."""
+    """argparse type: convert the text, then require a finite value >= low."""
     def check(text: str):
         value = convert(text)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
@@ -106,6 +109,11 @@ def _load_vector(path: Path) -> ModuleVector:
 
 
 def _cmd_gen(args) -> int:
+    if args.m is not None and args.kind != "random-parseval":
+        raise ValueError(f"--m applies only to --kind random-parseval, not {args.kind}")
+    if args.seed is not None and args.kind == "fourier-pair":
+        raise ValueError("--seed does not apply to --kind fourier-pair")
+    seed = 1 if args.seed is None else args.seed
     out = _resolve(args.out)
     if args.kind == "fourier-pair":
         fra, frb = gen_fourier_pair(args.n, args.d)
@@ -115,18 +123,18 @@ def _cmd_gen(args) -> int:
         print(f"wrote {out / 'a.json'} {out / 'b.json'} (fourier-pair n={args.n} d={args.d})")
         return EXIT_OK
     if args.kind == "onb":
-        body, default_name = frames_mod.to_json(gen_onb(args.n, args.d, args.seed)), "frame.json"
+        body, default_name = frames_mod.to_json(gen_onb(args.n, args.d, seed)), "frame.json"
     elif args.kind == "random-parseval":
         m = args.m if args.m is not None else args.n
-        fr = gen_random_parseval(args.n, m, args.d, args.seed)
+        fr = gen_random_parseval(args.n, m, args.d, seed)
         body, default_name = frames_mod.to_json(fr), "frame.json"
     else:
-        x = random_unit_vector(args.n, args.d, args.seed)
+        x = random_unit_vector(args.n, args.d, seed)
         body, default_name = module_mod.to_json(x), "vector.json"
     if out.is_dir():
         out = out / default_name
     _write_json(out, "gen", body)
-    print(f"wrote {out} ({args.kind} n={args.n} d={args.d} seed={args.seed})")
+    print(f"wrote {out} ({args.kind} n={args.n} d={args.d} seed={seed})")
     return EXIT_OK
 
 
@@ -221,8 +229,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=_at_least(0, int), default=1)
         return p
 
-    p = add_command("gen", _cmd_gen, "generate frames or unit vectors", out=False, seed=True)
+    p = add_command("gen", _cmd_gen, "generate frames or unit vectors", out=False)
     p.add_argument("--out", type=Path, required=True, help="output JSON path or directory")
+    p.add_argument("--seed", type=_at_least(0, int), default=None)   # 1 where it applies
     p.add_argument("--kind", choices=_GEN_KINDS, required=True)
     p.add_argument("--n", type=_at_least(1, int), required=True)
     p.add_argument("--m", type=_at_least(1, int), default=None)

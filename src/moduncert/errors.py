@@ -1,4 +1,6 @@
-"""Error types shared across the package."""
+"""Error types and the tolerance check shared across the package."""
+
+import math
 
 
 class DimensionMismatch(ValueError):
@@ -11,3 +13,9 @@ class DomainError(ValueError):
 
 class PreconditionError(ValueError):
     """A documented operation precondition does not hold."""
+
+
+def check_tolerance(name: str, value: float) -> None:
+    """Raise ValueError unless value is a finite number >= 0."""
+    if not math.isfinite(value) or value < 0:
+        raise ValueError(f"{name} must be finite and >= 0, got {value}")

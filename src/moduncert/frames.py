@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_tolerance
 from .module_space import ModuleVector, pairs_from_json, pairs_to_json, vector_header
 
 PARSEVAL_TOL = 1e-9
@@ -48,8 +48,7 @@ class Frame:
         d, m, n = analysis.shape
         if m < n:
             raise ValueError(f"m={m} frame vectors cannot be Parseval for rank n={n}; need m >= n")
-        if self.parseval_tol < 0:
-            raise ValueError(f"parseval_tol must be >= 0, got {self.parseval_tol}")
+        check_tolerance("parseval_tol", self.parseval_tol)
         analysis.setflags(write=False)
         object.__setattr__(self, "analysis", analysis)
         object.__setattr__(self, "parseval", _parseval_defect(analysis) <= self.parseval_tol)
@@ -96,12 +95,26 @@ def is_parseval(frame: Frame, tol: float | None = None) -> bool:
     return _parseval_defect(frame.analysis) <= tol
 
 
-def reconstruct(frame: Frame, x: ModuleVector) -> ModuleVector:
-    """sum_j <x, tau_j> tau_j = A^H A x per fiber; equals x (to tolerance) iff Parseval."""
+def check_vector_shape(frame: Frame, x: ModuleVector) -> None:
+    """Raise DimensionMismatch unless x has the frame's n and d."""
     if (x.n, x.d) != (frame.n, frame.d):
         raise DimensionMismatch(
             f"vector shape (n={x.n}, d={x.d}) does not match frame (n={frame.n}, d={frame.d})"
         )
+
+
+def check_pair_shape(frame_a: Frame, frame_b: Frame) -> None:
+    """Raise DimensionMismatch unless both frames have the same n and d."""
+    if (frame_a.n, frame_a.d) != (frame_b.n, frame_b.d):
+        raise DimensionMismatch(
+            f"frames have mismatched shapes: (n={frame_a.n}, d={frame_a.d})"
+            f" vs (n={frame_b.n}, d={frame_b.d})"
+        )
+
+
+def reconstruct(frame: Frame, x: ModuleVector) -> ModuleVector:
+    """sum_j <x, tau_j> tau_j = A^H A x per fiber; equals x (to tolerance) iff Parseval."""
+    check_vector_shape(frame, x)
     a = frame.analysis
     out = np.conj(a).transpose(0, 2, 1) @ (a @ x.entries.T[:, :, np.newaxis])   # (d, n, 1)
     return ModuleVector(out[:, :, 0].T)
@@ -115,8 +128,7 @@ def _self_inner(frame: Frame) -> np.ndarray:
 
 def has_unit_inner_products(frame: Frame, tol: float = 1e-9) -> bool:
     """True iff <tau_j, tau_j> = 1 for every j."""
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_tolerance("tol", tol)
     return bool(np.max(np.abs(_self_inner(frame) - 1.0)) <= tol)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, norm
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, check_tolerance
 
 # Tolerance at which a vector counts as having unit inner product.
 UNIT_TOL = 1e-9
@@ -88,8 +88,7 @@ def module_norm(x: ModuleVector) -> float:
 
 def is_unit_inner(x: ModuleVector, tol: float = UNIT_TOL) -> bool:
     """True iff <x, x> = 1 in C(X), i.e. every fiber is on the unit sphere."""
-    if tol < 0:
-        raise ValueError(f"tol must be >= 0, got {tol}")
+    check_tolerance("tol", tol)
     gram = np.sum(np.abs(x.entries) ** 2, axis=0)
     return bool(np.max(np.abs(gram - 1.0)) <= tol)
 

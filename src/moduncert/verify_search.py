@@ -1,5 +1,5 @@
 """Monte Carlo verification of the uncertainty bounds and minimization of the
-entropy sum to probe the sharper conjectured bound.
+entropy sum against the sharper Maassen-Uffink bound.
 
 Verification samples unit vectors, evaluates the entropy sum against the
 chosen bound fiberwise in the C(X)-order, and records gaps.  The search
@@ -30,18 +30,18 @@ import numpy as np
 from .algebra import add as algebra_add
 from .entropy_bounds import (
     ZERO_TOL,
-    batch_entropy_values,
     coherence,
     cross_inner_norms,
     deutsch_bound,
     entropy,
-    fiber_entropy_sum,
-    fiber_entropy_sum_grad,
+    entropy_gradient,
+    entropy_terms,
+    fiber_columns,
     mu_bound,
     project_tangent,
 )
-from .errors import DimensionMismatch, PreconditionError
-from .frames import Frame, gen_random_parseval, vector_norms
+from .errors import PreconditionError, check_tolerance
+from .frames import Frame, check_pair_shape, check_vector_shape, gen_random_parseval, vector_norms
 from .frames import to_json as frame_to_json
 from .module_space import (
     ModuleVector,
@@ -140,14 +140,17 @@ def bound_value_for(bound_kind: str, mu: float) -> float:
 
 
 def _check_pair(frame_a: Frame, frame_b: Frame) -> None:
-    if (frame_a.n, frame_a.d) != (frame_b.n, frame_b.d):
-        raise DimensionMismatch(
-            f"frames have mismatched shapes: (n={frame_a.n}, d={frame_a.d})"
-            f" vs (n={frame_b.n}, d={frame_b.d})"
-        )
+    check_pair_shape(frame_a, frame_b)
     for name, fr in (("first", frame_a), ("second", frame_b)):
         if not fr.parseval:
             raise PreconditionError(f"{name} frame is not Parseval at tol={fr.parseval_tol:g}")
+
+
+def _entropies(frame: Frame, xs: np.ndarray, zero_tol: float):
+    """Entropies (batch, d) of a (batch, d, n, 1) batch of columns and the
+    number of vanished weights per vector; the weights are dropped on return."""
+    _c, w, _log_w, s = entropy_terms(frame.analysis, xs, zero_tol)
+    return s[..., 0], np.count_nonzero(w <= zero_tol, axis=(1, 2, 3))
 
 
 def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: int,
@@ -161,8 +164,8 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
     _check_pair(frame_a, frame_b)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if gap_tol < 0:
-        raise ValueError(f"gap_tol must be >= 0, got {gap_tol}")
+    check_tolerance("gap_tol", gap_tol)
+    check_tolerance("zero_tol", zero_tol)
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
     n, d = frame_a.n, frame_a.d
@@ -174,9 +177,9 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
     chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // (max(frame_a.m, frame_b.m) * d)))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        xs = unit_vector_stream(n, d, seed, start, stop - start)
-        sa, za = batch_entropy_values(frame_a.analysis, xs, zero_tol)
-        sb, zb = batch_entropy_values(frame_b.analysis, xs, zero_tol)
+        xs = fiber_columns(unit_vector_stream(n, d, seed, start, stop - start))
+        sa, za = _entropies(frame_a, xs, zero_tol)
+        sb, zb = _entropies(frame_b, xs, zero_tol)
         gaps = (sa + sb) - bound                       # (chunk, d)
         trial_gaps[start:stop] = gaps.min(axis=1)
         trial_worst[start:stop] = gaps.argmin(axis=1)
@@ -218,6 +221,21 @@ def recompute_gap(frame_a: Frame, frame_b: Frame, x: ModuleVector, bound_kind: s
     return gap, (ea.zero_coefficient_count + eb.zero_coefficient_count) > 0
 
 
+def _pair_value(mats, v, zero_tol):
+    """Entropy sum at the unit column v (n, 1) against one fiber's two analysis matrices."""
+    sa, sb = (entropy_terms(a, v, zero_tol)[3] for a in mats)
+    return float(sa[0] + sb[0])
+
+
+def _pair_value_grad(mats, v, zero_tol):
+    """Entropy sum, its Euclidean gradient (an (n, 1) column) and the smallest
+    weight at v, which tells callers when the log-gradient turns stiff."""
+    (ca, wa, la, sa), (cb, wb, lb, sb) = (entropy_terms(a, v, zero_tol) for a in mats)
+    grad = (entropy_gradient(mats[0], ca, wa, la, zero_tol)
+            + entropy_gradient(mats[1], cb, wb, lb, zero_tol))
+    return float(sa[0] + sb[0]), grad, float(min(wa.min(), wb.min()))
+
+
 def _coordinate_quadratic_sweep(mats, v, f, zero_tol, h0=1e-2):
     """Derivative-free descent sweep: per real coordinate, fit a quadratic
     through three on-sphere evaluations and jump to its minimizer.
@@ -230,15 +248,15 @@ def _coordinate_quadratic_sweep(mats, v, f, zero_tol, h0=1e-2):
     while h >= 1e-9:
         improved = False
         for k in range(2 * n):
-            e = np.zeros(n, dtype=np.complex128)
+            e = np.zeros_like(v)
             e[k % n] = 1.0 if k < n else 1.0j
 
             def on_sphere(s):
                 u = v + s * e
                 return u / np.linalg.norm(u)
 
-            fp = fiber_entropy_sum(mats, on_sphere(h), zero_tol)
-            fm = fiber_entropy_sum(mats, on_sphere(-h), zero_tol)
+            fp = _pair_value(mats, on_sphere(h), zero_tol)
+            fm = _pair_value(mats, on_sphere(-h), zero_tol)
             curve = (fp + fm - 2.0 * f) / (h * h)
             slope = (fp - fm) / (2.0 * h)
             if curve > 0:
@@ -247,7 +265,7 @@ def _coordinate_quadratic_sweep(mats, v, f, zero_tol, h0=1e-2):
                 step = -8.0 * h if slope > 0 else 8.0 * h
             candidates = [(fp, h), (fm, -h)]
             vq = on_sphere(step)
-            candidates.append((fiber_entropy_sum(mats, vq, zero_tol), step))
+            candidates.append((_pair_value(mats, vq, zero_tol), step))
             fbest, sbest = min(candidates, key=lambda c: c[0])
             if fbest < f - 1e-15:
                 v = on_sphere(sbest)
@@ -260,14 +278,14 @@ def _coordinate_quadratic_sweep(mats, v, f, zero_tol, h0=1e-2):
 
 
 def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, stiff_tol):
-    """Projected gradient descent on the unit sphere of C^n, one start.
+    """Projected gradient descent on the unit sphere of C^n from one (n, 1) start.
 
     Returns (v, f, iterations, converged); converged means the tangent
     gradient dropped below grad_tol or progress stopped at floating
     resolution, as opposed to running out of iterations.
     """
     v = v0 / np.linalg.norm(v0)
-    f, g, min_w = fiber_entropy_sum_grad(mats, v, zero_tol)
+    f, g, min_w = _pair_value_grad(mats, v, zero_tol)
     iters = 0
     converged = False
     stall = 0
@@ -278,7 +296,7 @@ def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, stiff_tol):
             if not improved:
                 converged = True
                 break
-            f, g, min_w = fiber_entropy_sum_grad(mats, v, zero_tol)
+            f, g, min_w = _pair_value_grad(mats, v, zero_tol)
             continue
         gt = project_tangent(g, v)
         gnorm = float(np.linalg.norm(gt))
@@ -290,7 +308,7 @@ def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, stiff_tol):
         for _ in range(60):
             u = v - alpha * gt
             u /= np.linalg.norm(u)
-            fu = fiber_entropy_sum(mats, u, zero_tol)
+            fu = _pair_value(mats, u, zero_tol)
             if fu <= f - 1e-4 * alpha * gnorm * gnorm:
                 accepted = True
                 break
@@ -300,7 +318,7 @@ def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, stiff_tol):
             break
         f_prev = f
         v = u
-        f, g, min_w = fiber_entropy_sum_grad(mats, v, zero_tol)
+        f, g, min_w = _pair_value_grad(mats, v, zero_tol)
         if f_prev - f <= 1e-13 * max(1.0, abs(f)):
             stall += 1
             if stall >= 8:
@@ -317,7 +335,7 @@ def _search_fiber(mats, n, restarts, max_iters, seed, t, zero_tol, grad_tol):
     iters_total = 0
     for r in range(restarts):
         unit_seed = seed ^ (t * restarts + r)
-        v0 = random_unit_vector(n, 1, unit_seed).entries[:, 0]
+        v0 = random_unit_vector(n, 1, unit_seed).entries
         v, f, iters, conv = _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, STIFF_TOL)
         iters_total += iters
         if f < best_f:
@@ -341,6 +359,8 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     if max_iters < 1:
         raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    check_tolerance("zero_tol", zero_tol)
+    check_tolerance("grad_tol", grad_tol)
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
     n, d = frame_a.n, frame_a.d
@@ -352,7 +372,7 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         mats = [frame_a.analysis[t], frame_b.analysis[t]]
         v, _f, conv, iters = _search_fiber(mats, n, restarts, max_iters, seed, t,
                                            zero_tol, grad_tol)
-        entries[:, t] = v
+        entries[:, t] = v[:, 0]
         iterations_used += iters
         converged = converged and conv
     best_x = ModuleVector(entries)
@@ -378,6 +398,7 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
 def is_counterexample_candidate(result: SearchResult, gap_tol: float = SEARCH_GAP_TOL) -> bool:
     """A candidate needs a genuinely negative gap away from the boundary;
     boundary-grazing minima live outside the strict entropy domain."""
+    check_tolerance("gap_tol", gap_tol)
     return result.best_gap < -gap_tol and not result.boundary_grazing
 
 
@@ -462,18 +483,15 @@ def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector,
 
     for every (j, k), with x of unit inner product.
     """
+    check_tolerance("tol", tol)
     if not is_unit_inner(x):
         raise PreconditionError("proof_chain_check needs a unit inner product x")
-    if (x.n, x.d) != (frame_a.n, frame_a.d):
-        raise DimensionMismatch(
-            f"vector shape (n={x.n}, d={x.d}) does not match frame (n={frame_a.n}, d={frame_a.d})"
-        )
-    if (frame_a.n, frame_a.d) != (frame_b.n, frame_b.d):
-        raise DimensionMismatch("frames have mismatched shapes")
-    # |<tau_j, x>(t)| = |<x, tau_j>(t)|, and the analysis caches give the latter.
-    ca = np.abs(np.einsum("tji,it->jt", frame_a.analysis, x.entries))   # (m_a, d)
-    cb = np.abs(np.einsum("tki,it->kt", frame_b.analysis, x.entries))   # (m_b, d)
-    lhs = np.max(ca[:, np.newaxis, :] * cb[np.newaxis, :, :], axis=2)   # (m_a, m_b)
+    check_vector_shape(frame_a, x)
+    check_pair_shape(frame_a, frame_b)
+    # |<tau_j, x>(t)| = |<x, tau_j>(t)|, and the analysis arrays give the latter.
+    xs = fiber_columns(x.entries)
+    ca, cb = (np.abs(entropy_terms(fr.analysis, xs)[0][..., 0]) for fr in (frame_a, frame_b))
+    lhs = np.max(ca[:, :, np.newaxis] * cb[:, np.newaxis, :], axis=0)   # (m_a, m_b)
     rhs = 0.5 * (np.outer(vector_norms(frame_a), vector_norms(frame_b))
                  + cross_inner_norms(frame_a, frame_b))
     return bool(np.all(lhs <= rhs + tol))

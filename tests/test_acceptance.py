@@ -36,11 +36,7 @@ from moduncert import (
     verify,
 )
 from moduncert.cli import _header as cli_header
-from moduncert.entropy_bounds import (
-    fiber_entropy_sum,
-    fiber_entropy_sum_grad,
-    project_tangent,
-)
+from moduncert.entropy_bounds import entropy_gradient, entropy_terms, project_tangent
 from moduncert.module_space import from_json as vector_from_json
 from moduncert.verify_search import report_to_dict, search_result_to_dict
 
@@ -270,7 +266,7 @@ def test_c7_conjecture_campaign():
               f"candidates {info['candidates'] or 'none'}, {info['elapsed']:.1f}s")
     _report_line(7, "coherence-bound counterexample campaign", no_candidates and ok, detail)
     assert ok
-    # a verified candidate would disprove the conjectured bound; surface it loudly
+    # the bound is a theorem, so a verified candidate is a bug; surface it loudly
     assert no_candidates, f"replayable counterexample candidates found: {info['candidates']}"
 
 
@@ -285,20 +281,22 @@ def test_c8_gradient_check():
         fa = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         fb = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         mats = [fa.analysis[0], fb.analysis[0]]
-        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries[:, 0]
-        _f, g, min_w = fiber_entropy_sum_grad(mats, v)
-        if min_w < 1e-3:
+        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries   # (n, 1) column
+        terms = [entropy_terms(a, v) for a in mats]
+        if min(float(w.min()) for _c, w, _l, _s in terms) < 1e-3:
             continue
-        gt = project_tangent(g, v)
+        g = sum(entropy_gradient(a, c, w, log_w) for a, (c, w, log_w, _s) in zip(mats, terms))
+        gt = project_tangent(g, v)[:, 0]
         h = 1e-5
         fd = np.zeros(n, dtype=complex)
         for i in range(n):
-            e = np.zeros(n, dtype=complex)
+            e = np.zeros((n, 1), dtype=complex)
             e[i] = 1.0
 
             def fs(delta):
                 u = v + delta
-                return fiber_entropy_sum(mats, u / np.linalg.norm(u))
+                u = u / np.linalg.norm(u)
+                return sum(float(entropy_terms(a, u)[3][0]) for a in mats)
 
             fd[i] = ((fs(h * e) - fs(-h * e))
                      + 1j * (fs(1j * h * e) - fs(-1j * h * e))) / (2 * h)

@@ -188,6 +188,37 @@ def test_usage_error_exits_1(capsys):
     assert code == 1 and "--seed: must be >= 0" in err
 
 
+def test_non_finite_tolerances_exit_1(tmp_path, pair, capsys):
+    a, b = pair
+    for argv in (("verify", a, b, "--zero-tol", "0.95", "--gap-tol", "nan"),
+                 ("verify", a, b, "--zero-tol", "0.95", "--gap-tol", "inf"),
+                 ("search", a, b, "--restarts", "1", "--zero-tol", "nan"),
+                 ("entropy", a, a, "--zero-tol", "inf"),
+                 ("chain", a, b, a, "--tol=-inf")):
+        code, out, err = run_cli(capsys, *map(str, argv))
+        assert code == 1 and out == ""
+        assert "must be finite" in err
+
+
+def test_gen_rejects_flags_that_do_not_apply(tmp_path, capsys):
+    out = tmp_path / "g"
+    for argv, flag in ((("--kind", "onb", "--n", "2", "--m", "5"), "--m"),
+                       (("--kind", "unit-vector", "--n", "2", "--m", "3"), "--m"),
+                       (("--kind", "fourier-pair", "--n", "2", "--seed", "9"), "--seed")):
+        code, _, err = run_cli(capsys, "gen", *argv, "--out", str(out))
+        assert code == 1 and err.startswith("error: ") and flag in err
+        assert not out.exists()
+    # where the seed applies it still defaults to 1
+    for kind in ("onb", "unit-vector"):
+        bodies = []
+        for seed in ((), ("--seed", "1")):
+            code, _, _ = run_cli(capsys, "gen", "--kind", kind, "--n", "3", "--d", "2",
+                                 *seed, "--out", str(out / f"{len(seed)}.json"))
+            assert code == 0
+            bodies.append(strip_timestamp((out / f"{len(seed)}.json").read_text()))
+        assert bodies[0] == bodies[1]
+
+
 def test_out_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MODUNCERT_OUT_DIR", str(tmp_path / "outputs"))
     code, _, _ = run_cli(capsys, "gen", "--kind", "onb", "--n", "2", "--d", "1",

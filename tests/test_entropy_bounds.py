@@ -18,14 +18,28 @@ from moduncert import (
 )
 from moduncert.entropy_bounds import (
     cross_inner_norms,
-    fiber_entropy_sum,
-    fiber_entropy_sum_grad,
+    entropy_gradient,
+    entropy_terms,
+    fiber_columns,
     project_tangent,
 )
+from moduncert.frames import restrict_to_fiber
+from moduncert.module_space import unit_vector_stream
 
 
 def standard_basis_frame(n, d=1):
     return Frame(np.broadcast_to(np.eye(n), (d, n, n)))
+
+
+def entropy_sum_terms(mats, v):
+    """Entropy sum over the analysis matrices, its gradient and the smallest weight at v."""
+    value, grad, min_w = 0.0, np.zeros_like(v), np.inf
+    for a in mats:
+        c, w, log_w, s = entropy_terms(a, v)
+        value += float(s[0])
+        grad = grad + entropy_gradient(a, c, w, log_w)
+        min_w = min(min_w, float(w.min()))
+    return value, grad, min_w
 
 
 def test_entropy_uniform_superposition():
@@ -199,23 +213,69 @@ def test_fiber_gradient_matches_finite_differences():
         fa = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         fb = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         mats = [fa.analysis[0], fb.analysis[0]]
-        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries[:, 0]
-        f0, g, min_w = fiber_entropy_sum_grad(mats, v)
+        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries   # (n, 1) column
+        f0, g, min_w = entropy_sum_terms(mats, v)
         if min_w < 1e-3:
             continue
-        gt = project_tangent(g, v)
+        gt = project_tangent(g, v)[:, 0]
         h = 1e-5
         fd = np.zeros(n, dtype=complex)
         for i in range(n):
-            e = np.zeros(n, dtype=complex)
+            e = np.zeros((n, 1), dtype=complex)
             e[i] = 1.0
 
             def fs(delta):
                 u = v + delta
-                return fiber_entropy_sum(mats, u / np.linalg.norm(u))
+                return entropy_sum_terms(mats, u / np.linalg.norm(u))[0]
 
             fd[i] = ((fs(h * e) - fs(-h * e))
                      + 1j * (fs(1j * h * e) - fs(-1j * h * e))) / (2 * h)
         rel = np.max(np.abs(gt - fd)) / max(1.0, np.max(np.abs(fd)))
         assert rel <= 1e-5
         checked += 1
+
+
+def test_entropy_fibers_decouple():
+    # with m >= 8 a fiber's weights are summed pairwise; a sum that ran
+    # across fibers would change the last bits of some entropies
+    for seed in range(40):
+        fr = gen_random_parseval(5, 10, 4, seed)
+        x = random_unit_vector(5, 4, 1000 + seed)
+        full = entropy(fr, x).value.values
+        for t in range(4):
+            sub = entropy(restrict_to_fiber(fr, t), ModuleVector(x.entries[:, t:t + 1]))
+            assert sub.value.values[0] == full[t]
+
+
+def test_kernel_batch_independence():
+    fr = gen_random_parseval(4, 9, 3, 5)
+    xs = unit_vector_stream(4, 3, 17, 0, 24)
+    row = fr.analysis[1, 0]                      # make weight 0 of column (0, 1) vanish
+    y = xs[0, :, 1] - (row @ xs[0, :, 1]) * np.conj(row) / np.vdot(row, row).real
+    xs[0, :, 1] = y / np.linalg.norm(y)
+    cols = fiber_columns(xs)                     # (24, 3, 4, 1)
+    c, w, log_w, s = entropy_terms(fr.analysis, cols)
+    g = entropy_gradient(fr.analysis, c, w, log_w)
+    for t in range(3):
+        # the same columns batched against one fiber's matrix alone
+        ct, wt, lt, st = entropy_terms(fr.analysis[t], cols[:, t])
+        gt = entropy_gradient(fr.analysis[t], ct, wt, lt)
+        assert np.array_equal(st, s[:, t]) and np.array_equal(gt, g[:, t])
+        for b in range(24):
+            c1, w1, l1, s1 = entropy_terms(fr.analysis[t], cols[b, t])
+            g1 = entropy_gradient(fr.analysis[t], c1, w1, l1)
+            assert np.array_equal(s1, s[b, t]) and np.array_equal(g1, g[b, t])
+            assert np.array_equal(w1, w[b, t]) and np.array_equal(l1, log_w[b, t])
+    assert np.count_nonzero(w[0, 1] <= 1e-12) > 0
+
+
+def test_tolerances_must_be_finite():
+    fr = standard_basis_frame(2)
+    x = random_unit_vector(2, 1, 1)
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
+            entropy(fr, x, bad)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            is_positive(entropy(fr, x).value, bad)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            buzano_check(x, x, x, bad)

@@ -154,6 +154,28 @@ def test_verify_preconditions():
         verify(fa, fa, "deutsch", trials=0, seed=0)
 
 
+def test_tolerances_must_be_finite(monkeypatch):
+    fa = gen_onb(2, 1, 1)
+    res = minimize_entropy_sum(fa, fa, "deutsch", restarts=1, max_iters=5, seed=0)
+
+    def descent_started(*args):
+        raise AssertionError("the descent ran with a bad tolerance")
+
+    monkeypatch.setattr(verify_search, "_search_fiber", descent_started)
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        for kw in ("gap_tol", "zero_tol"):
+            with pytest.raises(ValueError, match=f"{kw} must be finite and >= 0"):
+                verify(fa, fa, "deutsch", trials=10, seed=0, **{kw: bad})
+        for kw in ("zero_tol", "grad_tol"):
+            with pytest.raises(ValueError, match=f"{kw} must be finite and >= 0"):
+                minimize_entropy_sum(fa, fa, "deutsch", restarts=1, max_iters=5, seed=0,
+                                     **{kw: bad})
+        with pytest.raises(ValueError, match="gap_tol must be finite and >= 0"):
+            is_counterexample_candidate(res, bad)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            proof_chain_check(fa, fa, fa.vectors[0], bad)
+
+
 def test_search_identical_frames():
     fr = gen_onb(3, 1, 61)
     res = minimize_entropy_sum(fr, fr, "deutsch", restarts=8, max_iters=300, seed=2)
