@@ -23,12 +23,12 @@ from . import frames as frames_mod
 from . import module_space as module_mod
 from .algebra import to_json as algebra_to_json
 from .entropy_bounds import ZERO_TOL, buzano_check, coherence, entropy
-from .errors import DimensionMismatch, DomainError, PreconditionError
-from .frames import Frame, gen_fourier_pair, gen_onb, gen_random_parseval
+from .frames import PARSEVAL_TOL, Frame, gen_fourier_pair, gen_onb, gen_random_parseval
 from .module_space import ModuleVector, random_unit_vector
 from .verify_search import (
     SEARCH_GAP_TOL,
     VERIFY_GAP_TOL,
+    campaign,
     is_counterexample_candidate,
     minimize_entropy_sum,
     proof_chain_check,
@@ -70,20 +70,20 @@ def _resolve(path: Path) -> Path:
     return path
 
 
-def _header(command: str) -> dict:
-    return {
+def render_report(command: str, body: dict) -> str:
+    """The text of a report: the standard header, then the body's keys in order."""
+    header = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "tool": "moduncert",
         "version": __version__,
         "command": command,
     }
+    return json.dumps({"header": header, **body}, indent=2) + "\n"
 
 
 def _write_json(path: Path, command: str, body: dict) -> None:
-    doc = {"header": _header(command)}
-    doc.update(body)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    path.write_text(render_report(command, body))
 
 
 def _load_json(path: Path):
@@ -100,7 +100,7 @@ def _load_json(path: Path):
 def _load_frame(path: Path, *, require_parseval: bool = False) -> Frame:
     frame = frames_mod.from_json(_load_json(path), what=f"{path}")
     if require_parseval and not frame.parseval:
-        raise ValueError(f"{path}: frame is not Parseval at tol={frame.parseval_tol}")
+        raise ValueError(f"{path}: frame is not Parseval at tol={PARSEVAL_TOL}")
     return frame
 
 
@@ -203,6 +203,34 @@ def _cmd_search(args) -> int:
     return EXIT_VIOLATION if candidate else EXIT_OK
 
 
+def _cmd_campaign(args) -> int:
+    records, candidates = [], []
+    for spec, _fa, _fb, result in campaign(args.pairs, args.restarts, args.max_iters, args.seed,
+                                           args.n_max, args.m_max, args.d_max):
+        candidate = is_counterexample_candidate(result, SEARCH_GAP_TOL)
+        rec = {**spec, "mu": result.mu, "bound_value": result.bound_value,
+               "best_gap": result.best_gap, "boundary_grazing": result.boundary_grazing,
+               "converged": result.converged, "candidate": candidate}
+        if candidate:
+            rec["witness"] = search_result_to_dict(result)
+            candidates.append(spec["pair"])
+        records.append(rec)
+    worst_gap = min(r["best_gap"] for r in records)
+    if args.out is not None:
+        _write_json(_resolve(args.out), "campaign", {
+            "kind": "campaign",
+            "pairs": args.pairs, "restarts": args.restarts, "max_iters": args.max_iters,
+            "seed": args.seed, "gap_tol": SEARCH_GAP_TOL,
+            "n_max": args.n_max, "m_max": args.m_max, "d_max": args.d_max,
+            "worst_gap": worst_gap, "candidate_pairs": candidates, "records": records,
+        })
+    print(f"campaign: pairs={args.pairs} worst_gap={worst_gap:.3e} candidates={len(candidates)}")
+    if candidates:
+        print(f"counterexample candidates at pairs {candidates}", file=sys.stderr)
+        return EXIT_VIOLATION
+    return EXIT_OK
+
+
 def _cmd_chain(args) -> int:
     ok = proof_chain_check(_load_frame(args.frame_a), _load_frame(args.frame_b),
                            _load_vector(args.x), args.tol)
@@ -265,6 +293,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iters", type=_at_least(1, int), default=2000)
     p.add_argument("--zero-tol", type=_at_least(0.0, float), default=ZERO_TOL)
 
+    p = add_command("campaign", _cmd_campaign,
+                    "search random frame pairs against the coherence bound", seed=True)
+    p.add_argument("--pairs", type=_at_least(1, int), default=50)
+    p.add_argument("--restarts", type=_at_least(1, int), default=32)
+    p.add_argument("--max-iters", type=_at_least(1, int), default=2000)
+    p.add_argument("--n-max", type=_at_least(2, int), default=6)
+    p.add_argument("--m-max", type=_at_least(2, int), default=10)
+    p.add_argument("--d-max", type=_at_least(1, int), default=4)
+
     p = add_command("chain", _cmd_chain, "check the pairwise product bound behind the proof",
                     "frame_a", "frame_b", "x", out=False)
     p.add_argument("--tol", type=_at_least(0.0, float), default=1e-10)
@@ -280,7 +317,7 @@ def main(argv=None) -> int:
         return EXIT_ERROR if e.code not in (0, None) else EXIT_OK
     try:
         return args.run(args)
-    except (ValueError, PreconditionError, DimensionMismatch, DomainError, OSError) as e:
+    except (ValueError, OSError) as e:   # the package's own errors subclass ValueError
         print(f"error: {e}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -29,8 +29,14 @@ import numpy as np
 
 from .algebra import AlgebraElement, norm
 from .errors import PreconditionError, check_tolerance
-from .frames import Frame, check_pair_shape, check_vector_shape, has_unit_inner_products
-from .module_space import ModuleVector, UNIT_TOL, inner, is_unit_inner, module_norm
+from .frames import (
+    PARSEVAL_TOL,
+    Frame,
+    check_pair_shape,
+    check_vector_shape,
+    has_unit_inner_products,
+)
+from .module_space import ModuleVector, inner, is_unit_inner, module_norm
 
 # Weights at or below this count as zero for the a*ln(a) := 0 convention.
 ZERO_TOL = 1e-12
@@ -82,11 +88,11 @@ def entropy_gradient(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: 
 
 
 def entropy(frame: Frame, x: ModuleVector, zero_tol: float = ZERO_TOL, *,
-            unit_tol: float = UNIT_TOL, strict_unit_frame: bool = False) -> EntropyValue:
+            strict_unit_frame: bool = False) -> EntropyValue:
     """Modular Shannon entropy of x with respect to a Parseval frame.
 
     Preconditions: x has unit inner product and the frame is Parseval
-    (at its construction tolerance); both raise PreconditionError.
+    (at ``PARSEVAL_TOL``); both raise PreconditionError.
     ``strict_unit_frame`` additionally rejects frames whose vectors do
     not all have unit inner product -- the strict reading under which
     the entropy was originally defined.  In rank n that forces m = n
@@ -97,8 +103,8 @@ def entropy(frame: Frame, x: ModuleVector, zero_tol: float = ZERO_TOL, *,
     check_vector_shape(frame, x)
     if not frame.parseval:
         raise PreconditionError("entropy needs a Parseval frame"
-                                f" (identity violated beyond tol={frame.parseval_tol:g})")
-    if not is_unit_inner(x, unit_tol):
+                                f" (identity violated beyond tol={PARSEVAL_TOL:g})")
+    if not is_unit_inner(x):
         raise PreconditionError("entropy needs a unit inner product vector")
     if strict_unit_frame and not has_unit_inner_products(frame):
         raise PreconditionError("strict mode: frame vectors must all have unit inner product")

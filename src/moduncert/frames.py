@@ -34,11 +34,10 @@ class Frame:
     fiber-t vector of tau_j, so ``analysis[t] @ v`` lists the
     coefficients <v, tau_j>(t).  The frame keeps a read-only copy of the
     array.  ``parseval`` records whether the Parseval identity held at
-    ``parseval_tol`` when the frame was built.  Equality is identity.
+    ``PARSEVAL_TOL`` when the frame was built.  Equality is identity.
     """
 
     analysis: np.ndarray
-    parseval_tol: float = PARSEVAL_TOL
     parseval: bool = field(init=False)
 
     def __post_init__(self):
@@ -48,10 +47,9 @@ class Frame:
         d, m, n = analysis.shape
         if m < n:
             raise ValueError(f"m={m} frame vectors cannot be Parseval for rank n={n}; need m >= n")
-        check_tolerance("parseval_tol", self.parseval_tol)
         analysis.setflags(write=False)
         object.__setattr__(self, "analysis", analysis)
-        object.__setattr__(self, "parseval", _parseval_defect(analysis) <= self.parseval_tol)
+        object.__setattr__(self, "parseval", _parseval_defect(analysis) <= PARSEVAL_TOL)
 
     @property
     def d(self) -> int:
@@ -83,15 +81,13 @@ def _parseval_defect(analysis: np.ndarray) -> float:
     return float(np.max(np.abs(gram - np.eye(n))))
 
 
-def is_parseval(frame: Frame, tol: float | None = None) -> bool:
+def is_parseval(frame: Frame, tol: float = PARSEVAL_TOL) -> bool:
     """True iff the per-fiber Parseval identity holds to tol (max-entry norm).
 
     Equivalent to the reconstruction identity x = sum_j <x, tau_j> tau_j
     for all x; the equivalence is exercised by the test suite rather
     than assumed.
     """
-    if tol is None:
-        tol = frame.parseval_tol
     return _parseval_defect(frame.analysis) <= tol
 
 
@@ -199,7 +195,7 @@ def restrict_to_fiber(frame: Frame, t: int) -> Frame:
     """
     if not 0 <= t < frame.d:
         raise ValueError(f"fiber index {t} out of range for d={frame.d}")
-    return Frame(frame.analysis[t : t + 1], frame.parseval_tol)
+    return Frame(frame.analysis[t : t + 1])
 
 
 def to_json(frame: Frame) -> dict:
@@ -213,7 +209,7 @@ def to_json(frame: Frame) -> dict:
     }
 
 
-def from_json(data, *, what: str = "frame", parseval_tol: float = PARSEVAL_TOL) -> Frame:
+def from_json(data, *, what: str = "frame") -> Frame:
     """Decode and validate the Frame JSON encoding."""
     if not isinstance(data, dict):
         raise ValueError(f"{what}: expected an object with n, m, d, vectors")
@@ -233,4 +229,4 @@ def from_json(data, *, what: str = "frame", parseval_tol: float = PARSEVAL_TOL) 
                 f"{what}: vector {j} has (n={shape[0]}, d={shape[1]}), header says (n={n}, d={d})"
             )
     synthesis = pairs_from_json([vj["entries"] for vj in vecs_json], (m, n, d), what)
-    return Frame(np.conj(synthesis).transpose(2, 0, 1), parseval_tol)
+    return Frame(np.conj(synthesis).transpose(2, 0, 1))

@@ -41,7 +41,8 @@ from .entropy_bounds import (
     project_tangent,
 )
 from .errors import PreconditionError, check_tolerance
-from .frames import Frame, check_pair_shape, check_vector_shape, gen_random_parseval, vector_norms
+from .frames import PARSEVAL_TOL, Frame, check_pair_shape, check_vector_shape, vector_norms
+from .frames import gen_random_parseval
 from .frames import to_json as frame_to_json
 from .module_space import (
     ModuleVector,
@@ -56,6 +57,7 @@ BOUND_KINDS = ("deutsch", "maassen_uffink")
 VERIFY_GAP_TOL = 1e-9      # gap below -tol counts as a violation
 SEARCH_GAP_TOL = 1e-6      # gap below -tol counts as a counterexample candidate
 STIFF_TOL = 1e-6           # weights below this make the log-gradient stiff
+_SWEEP_PROBE = 1e-2        # first probe step of the stiff coordinate sweep
 GRAD_TOL = 1e-8            # tangent gradient norm stopping threshold
 
 # A vectorized batch holds at most _VERIFY_CHUNK trials and at most
@@ -143,7 +145,7 @@ def _check_pair(frame_a: Frame, frame_b: Frame) -> None:
     check_pair_shape(frame_a, frame_b)
     for name, fr in (("first", frame_a), ("second", frame_b)):
         if not fr.parseval:
-            raise PreconditionError(f"{name} frame is not Parseval at tol={fr.parseval_tol:g}")
+            raise PreconditionError(f"{name} frame is not Parseval at tol={PARSEVAL_TOL:g}")
 
 
 def _entropies(frame: Frame, xs: np.ndarray, zero_tol: float):
@@ -236,7 +238,7 @@ def _pair_value_grad(mats, v, zero_tol):
     return float(sa[0] + sb[0]), grad, float(min(wa.min(), wb.min()))
 
 
-def _coordinate_quadratic_sweep(mats, v, f, zero_tol, h0=1e-2):
+def _coordinate_quadratic_sweep(mats, v, f, zero_tol):
     """Derivative-free descent sweep: per real coordinate, fit a quadratic
     through three on-sphere evaluations and jump to its minimizer.
 
@@ -244,7 +246,7 @@ def _coordinate_quadratic_sweep(mats, v, f, zero_tol, h0=1e-2):
     probe until it finds descent or bottoms out.
     """
     n = v.shape[0]
-    h = h0
+    h = _SWEEP_PROBE
     while h >= 1e-9:
         improved = False
         for k in range(2 * n):
@@ -277,7 +279,7 @@ def _coordinate_quadratic_sweep(mats, v, f, zero_tol, h0=1e-2):
     return False, v, f
 
 
-def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, stiff_tol):
+def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol):
     """Projected gradient descent on the unit sphere of C^n from one (n, 1) start.
 
     Returns (v, f, iterations, converged); converged means the tangent
@@ -291,7 +293,7 @@ def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, stiff_tol):
     stall = 0
     while iters < max_iters:
         iters += 1
-        if min_w < stiff_tol:
+        if min_w < STIFF_TOL:
             improved, v, f = _coordinate_quadratic_sweep(mats, v, f, zero_tol)
             if not improved:
                 converged = True
@@ -336,7 +338,7 @@ def _search_fiber(mats, n, restarts, max_iters, seed, t, zero_tol, grad_tol):
     for r in range(restarts):
         unit_seed = seed ^ (t * restarts + r)
         v0 = random_unit_vector(n, 1, unit_seed).entries
-        v, f, iters, conv = _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol, STIFF_TOL)
+        v, f, iters, conv = _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol)
         iters_total += iters
         if f < best_f:
             best_v, best_f, best_conv = v, f, conv
@@ -408,10 +410,23 @@ def campaign(pairs: int, restarts: int, max_iters: int, seed: int,
 
     Pair k draws, from ``default_rng(seed)`` and in this order, n in
     [2, n_max], m in [n, m_max], d in [1, d_max], the seeds of its two
-    frames and the seed of its search.  Yields, pair by pair,
-    ``(spec, frame_a, frame_b, result)``, where spec holds the pair index
-    and those draws and result is the ``minimize_entropy_sum`` outcome.
+    frames and the seed of its search.  Returns an iterator that yields,
+    pair by pair, ``(spec, frame_a, frame_b, result)``, where spec holds
+    the pair index and those draws and result is the
+    ``minimize_entropy_sum`` outcome.  Bad arguments raise ValueError
+    here, before any pair is drawn.
     """
+    for name, value, low in (("pairs", pairs, 1), ("restarts", restarts, 1),
+                             ("max_iters", max_iters, 1), ("seed", seed, 0),
+                             ("n_max", n_max, 2), ("d_max", d_max, 1)):
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
+    if m_max < n_max:
+        raise ValueError(f"m_max must be >= n_max, got m_max={m_max}, n_max={n_max}")
+    return _campaign_pairs(pairs, restarts, max_iters, seed, n_max, m_max, d_max)
+
+
+def _campaign_pairs(pairs, restarts, max_iters, seed, n_max, m_max, d_max):
     rng = np.random.default_rng(seed)
     for k in range(pairs):
         n = int(rng.integers(2, n_max + 1))

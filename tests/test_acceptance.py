@@ -3,9 +3,9 @@
 Each test prints one line, ``[criterion k] <name>: PASS|FAIL (...)``, and
 pins the tolerances it is allowed to use; run with ``-rA`` (the default
 here) or ``-s`` to see the lines.  Criteria 3-7 render their reports
-through the same serialization path as the CLI; criterion 9 reruns them
-with identical seeds and demands byte-identical output aside from the
-timestamp header.
+with ``cli.render_report``, the function every CLI report goes through;
+criterion 9 reruns them with identical seeds and demands byte-identical
+output aside from the timestamp header.
 """
 
 import json
@@ -35,26 +35,19 @@ from moduncert import (
     scale,
     verify,
 )
-from moduncert.cli import _header as cli_header
+from moduncert.cli import render_report
 from moduncert.entropy_bounds import entropy_gradient, entropy_terms, project_tangent
 from moduncert.module_space import from_json as vector_from_json
 from moduncert.verify_search import report_to_dict, search_result_to_dict
 
 FIXTURE = Path(__file__).parent / "fixtures" / "bloch_grid_oracle.json"
 
-_RUNS: dict[str, dict[str, bytes]] = {}
+_RUNS: dict[str, dict[str, str]] = {}
 _INFO: dict[str, dict] = {}
 
 
-def _render_report(command: str, body: dict) -> bytes:
-    doc = {"header": cli_header(command)}
-    doc.update(body)
-    return (json.dumps(doc, indent=2) + "\n").encode()
-
-
-def _strip_timestamp(data: bytes) -> bytes:
-    return b"\n".join(line for line in data.splitlines()
-                      if b'"timestamp"' not in line)
+def _strip_timestamp(text: str) -> str:
+    return "\n".join(line for line in text.splitlines() if '"timestamp"' not in line)
 
 
 def _cached(name: str, fn):
@@ -143,12 +136,12 @@ def _run_c3():
         fb = gen_onb(n, 1, 400 + n)
         rep = verify(fa, fb, "deutsch", trials=10 ** 4, seed=3000 + n, gap_tol=1e-9)
         info["violations"] += len(rep.violations)
-        artifacts[f"onb_n{n}.json"] = _render_report("verify", report_to_dict(rep))
+        artifacts[f"onb_n{n}.json"] = render_report("verify", report_to_dict(rep))
     fra, frb = gen_fourier_pair(2, 1)
     rep = verify(fra, frb, "deutsch", trials=10 ** 4, seed=3999, gap_tol=1e-9)
     info["violations"] += len(rep.violations)
     info["fourier_bound"] = rep.bound_value
-    artifacts["fourier_n2.json"] = _render_report("verify", report_to_dict(rep))
+    artifacts["fourier_n2.json"] = render_report("verify", report_to_dict(rep))
     return artifacts, info
 
 
@@ -177,7 +170,7 @@ def _run_c4():
         rep = verify(fa, fb, "deutsch", trials=10 ** 4,
                      seed=int(rng.integers(0, 2 ** 31)), gap_tol=1e-9)
         info["violations"] += len(rep.violations)
-        artifacts[f"pair_{k:02d}.json"] = _render_report("verify", report_to_dict(rep))
+        artifacts[f"pair_{k:02d}.json"] = render_report("verify", report_to_dict(rep))
     return artifacts, info
 
 
@@ -201,7 +194,7 @@ def _run_c5():
         rep = verify(fa, fb, "maassen_uffink", trials=10 ** 4,
                      seed=int(rng.integers(0, 2 ** 31)), gap_tol=1e-9)
         info["violations"] += len(rep.violations)
-        artifacts[f"redundant_{k}.json"] = _render_report("verify", report_to_dict(rep))
+        artifacts[f"redundant_{k}.json"] = render_report("verify", report_to_dict(rep))
     return artifacts, info
 
 
@@ -221,8 +214,8 @@ def _run_c6():
     de_res = minimize_entropy_sum(fra, frb, "deutsch", restarts=32,
                                   max_iters=2000, seed=6006)
     artifacts = {
-        "search_mu.json": _render_report("search", search_result_to_dict(mu_res)),
-        "search_deutsch.json": _render_report("search", search_result_to_dict(de_res)),
+        "search_mu.json": render_report("search", search_result_to_dict(mu_res)),
+        "search_deutsch.json": render_report("search", search_result_to_dict(de_res)),
     }
     return artifacts, {"mu_gap": mu_res.best_gap, "deutsch_gap": de_res.best_gap}
 
@@ -248,7 +241,7 @@ def _run_c7():
         k = spec["pair"]
         info["worst_gap"] = min(info["worst_gap"], res.best_gap)
         doc = search_result_to_dict(res)
-        artifacts[f"search_{k:02d}.json"] = _render_report("search", doc)
+        artifacts[f"search_{k:02d}.json"] = render_report("search", doc)
         if res.best_gap < -1e-6 and not res.boundary_grazing:
             info["candidates"].append(k)
             # witness must replay from its serialized form to 1e-9

@@ -4,10 +4,10 @@ import sys
 
 import pytest
 
+from moduncert import campaign, cli, is_counterexample_candidate, is_parseval, verify
 from moduncert import frames as frames_mod
-from moduncert import is_parseval, verify
 from moduncert.cli import main
-from moduncert.verify_search import report_to_dict
+from moduncert.verify_search import SEARCH_GAP_TOL, report_to_dict, search_result_to_dict
 
 
 def run_cli(capsys, *argv):
@@ -225,6 +225,67 @@ def test_out_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
                          "--out", "sub/frame.json")
     assert code == 0
     assert (tmp_path / "outputs" / "sub" / "frame.json").exists()
+    code, _, _ = run_cli(capsys, "campaign", "--pairs", "1", "--restarts", "1",
+                         "--out", "sub/campaign.json")
+    assert code == 0
+    doc = json.loads((tmp_path / "outputs" / "sub" / "campaign.json").read_text())
+    assert doc["kind"] == "campaign" and doc["pairs"] == 1
+
+
+CAMPAIGN_FLAGS = ("--pairs", "2", "--restarts", "2", "--seed", "1")
+
+
+def test_campaign_records_match_the_library(tmp_path, capsys):
+    out = tmp_path / "campaign.json"
+    code, stdout, _ = run_cli(capsys, "campaign", *CAMPAIGN_FLAGS, "--out", str(out))
+    assert code == 0
+    assert stdout.startswith("campaign: pairs=2 worst_gap=") and "candidates=0" in stdout
+    expected = []
+    for spec, _fa, _fb, result in campaign(2, 2, 2000, 1, 6, 10, 4):
+        expected.append({**spec, "mu": result.mu, "bound_value": result.bound_value,
+                         "best_gap": result.best_gap,
+                         "boundary_grazing": result.boundary_grazing,
+                         "converged": result.converged,
+                         "candidate": is_counterexample_candidate(result, SEARCH_GAP_TOL)})
+    doc = json.loads(out.read_text())
+    assert doc["header"]["command"] == "campaign"
+    assert doc["records"] == expected
+
+
+def test_campaign_candidate_exits_2_with_a_witness(tmp_path, capsys, monkeypatch):
+    seen = []
+
+    def pair_1_is_a_candidate(result, gap_tol):
+        seen.append(result)
+        return len(seen) == 2
+
+    monkeypatch.setattr(cli, "is_counterexample_candidate", pair_1_is_a_candidate)
+    out = tmp_path / "campaign.json"
+    code, stdout, err = run_cli(capsys, "campaign", *CAMPAIGN_FLAGS, "--out", str(out))
+    assert code == 2
+    assert "candidates=1" in stdout
+    assert err.strip() == "counterexample candidates at pairs [1]"
+    doc = json.loads(out.read_text())
+    assert doc["candidate_pairs"] == [1]
+    assert [r["candidate"] for r in doc["records"]] == [False, True]
+    assert "witness" not in doc["records"][0]
+    witness = json.loads(json.dumps(search_result_to_dict(seen[1])))
+    assert doc["records"][1]["witness"] == witness
+
+
+def test_campaign_rejects_bad_arguments(tmp_path, capsys):
+    out = tmp_path / "campaign.json"
+    errors = {}
+    for flag, value in (("--pairs", "0"), ("--pairs", "-3"), ("--n-max", "1"),
+                        ("--d-max", "0"), ("--m-max", "2"), ("--seed", "-1"),
+                        ("--restarts", "0"), ("--max-iters", "0")):
+        code, stdout, err = run_cli(capsys, "campaign", flag, value, "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert "error: " in err and "Traceback" not in err
+        errors[flag] = err
+    # argparse sees one flag at a time, so m_max < n_max is the library's check
+    assert errors["--m-max"] == "error: m_max must be >= n_max, got m_max=2, n_max=6\n"
+    assert not out.exists()
 
 
 def test_module_entry_point(tmp_path):

@@ -8,6 +8,7 @@ from moduncert import (
     Frame,
     ModuleVector,
     PreconditionError,
+    campaign,
     frames_digest,
     gen_fourier_pair,
     gen_onb,
@@ -174,6 +175,21 @@ def test_tolerances_must_be_finite(monkeypatch):
             is_counterexample_candidate(res, bad)
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             proof_chain_check(fa, fa, fa.vectors[0], bad)
+
+
+def test_campaign_rejects_bad_arguments():
+    good = dict(pairs=1, restarts=1, max_iters=1, seed=0, n_max=2, m_max=2, d_max=1)
+    for name, bad, message in (("pairs", 0, "pairs must be >= 1, got 0"),
+                               ("pairs", -3, "pairs must be >= 1, got -3"),
+                               ("restarts", 0, "restarts must be >= 1, got 0"),
+                               ("max_iters", 0, "max_iters must be >= 1, got 0"),
+                               ("seed", -1, "seed must be >= 0, got -1"),
+                               ("n_max", 1, "n_max must be >= 2, got 1"),
+                               ("m_max", 1, "m_max must be >= n_max, got m_max=1, n_max=2"),
+                               ("d_max", 0, "d_max must be >= 1, got 0")):
+        # the call itself raises, so no pair is drawn
+        with pytest.raises(ValueError, match=message):
+            campaign(**{**good, name: bad})
 
 
 def test_search_identical_frames():
