@@ -210,7 +210,8 @@ def _cmd_campaign(args) -> int:
         candidate = is_counterexample_candidate(result, SEARCH_GAP_TOL)
         rec = {**spec, "mu": result.mu, "bound_value": result.bound_value,
                "best_gap": result.best_gap, "boundary_grazing": result.boundary_grazing,
-               "converged": result.converged, "candidate": candidate}
+               "converged": result.converged, "runs_at_max_iters": result.runs_at_max_iters,
+               "candidate": candidate}
         if candidate:
             rec["witness"] = search_result_to_dict(result)
             candidates.append(spec["pair"])

@@ -74,7 +74,7 @@ def entropy_terms(analysis: np.ndarray, x: np.ndarray, zero_tol: float = ZERO_TO
     c = analysis @ x
     w = np.abs(c) ** 2
     log_w = np.log(w, out=np.zeros_like(w), where=w > zero_tol)
-    return c, w, log_w, -np.sum(w * log_w, axis=-2)
+    return c, w, log_w, -(w * log_w).sum(axis=-2)
 
 
 def entropy_gradient(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: np.ndarray,
@@ -165,5 +165,5 @@ def buzano_check(x: ModuleVector, y: ModuleVector, z: ModuleVector,
 
 
 def project_tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Project a gradient onto the tangent space of the unit sphere at v."""
-    return g - np.real(np.vdot(v, g)) * v
+    """g - Re<v, g> v: gradients projected to the unit sphere at (..., n, 1) columns v."""
+    return g - (v.real * g.real + v.imag * g.imag).sum(axis=-2, keepdims=True) * v

@@ -88,6 +88,7 @@ def is_parseval(frame: Frame, tol: float = PARSEVAL_TOL) -> bool:
     for all x; the equivalence is exercised by the test suite rather
     than assumed.
     """
+    check_tolerance("tol", tol)
     return _parseval_defect(frame.analysis) <= tol
 
 

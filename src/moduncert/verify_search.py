@@ -6,17 +6,24 @@ chosen bound fiberwise in the C(X)-order, and records gaps.  The search
 minimizes the pointwise-minimum-over-fibers of the entropy sum over
 unit-inner-product vectors.  Everything in sight is fiberwise, so the
 search decouples into one problem per fiber on the unit sphere of C^n,
-solved by projected gradient descent (project the Euclidean gradient to
-the tangent space, step, renormalize) with Armijo backtracking and
-multi-start.  Entropies use the 0*ln(0) extension so boundary infima --
-where the sharper bound is attained -- are reachable.
+solved by Riemannian projected gradient descent (project the Euclidean
+gradient to the tangent space, step, renormalize) from several starts.
+All d*restarts starts descend as one batch against the (d, 2, m, n) stack
+of both frames' analysis arrays.  Each start runs its own Armijo
+backtracking from a Barzilai-Borwein trial step, and starts whose weights
+vanish take a derivative-free coordinate sweep instead.  Entropies use
+the 0*ln(0) extension so boundary infima -- where the sharper bound is
+attained -- are reachable.
 
 Determinism contract: every unit of work with user seed S draws the same
 vector under any execution schedule, and any single unit can be replayed
 in isolation.  Verify trial i is unit i of the counter-based stream
 ``Philox(key=S)`` (``unit_vector_stream``: a fixed block of counters per
 trial), so distinct seeds give independent samples.  A search start
-(fiber*restarts + restart) is still seeded S XOR unit-index.
+(fiber*restarts + restart) is still seeded S XOR unit-index, and its
+arithmetic does not depend on which starts share its batch: the descent
+uses only elementwise operations, per-start matrix products and
+per-start reductions over a fixed axis.
 """
 
 from __future__ import annotations
@@ -108,6 +115,7 @@ class SearchResult:
     restarts: int
     max_iters: int
     iterations_used: int
+    runs_at_max_iters: int
     converged: bool
     boundary_grazing: bool
     seed: int
@@ -223,126 +231,116 @@ def recompute_gap(frame_a: Frame, frame_b: Frame, x: ModuleVector, bound_kind: s
     return gap, (ea.zero_coefficient_count + eb.zero_coefficient_count) > 0
 
 
-def _pair_value(mats, v, zero_tol):
-    """Entropy sum at the unit column v (n, 1) against one fiber's two analysis matrices."""
-    sa, sb = (entropy_terms(a, v, zero_tol)[3] for a in mats)
-    return float(sa[0] + sb[0])
+def _re_inner(a, b):
+    """Re<a, b> per row of two (batch, n) arrays, as one fixed-order row sum."""
+    return (a.real * b.real + a.imag * b.imag).sum(axis=-1)
 
 
-def _pair_value_grad(mats, v, zero_tol):
-    """Entropy sum, its Euclidean gradient (an (n, 1) column) and the smallest
-    weight at v, which tells callers when the log-gradient turns stiff."""
-    (ca, wa, la, sa), (cb, wb, lb, sb) = (entropy_terms(a, v, zero_tol) for a in mats)
-    grad = (entropy_gradient(mats[0], ca, wa, la, zero_tol)
-            + entropy_gradient(mats[1], cb, wb, lb, zero_tol))
-    return float(sa[0] + sb[0]), grad, float(min(wa.min(), wb.min()))
+def _normalize(v):
+    return v / np.sqrt(_re_inner(v, v))[:, np.newaxis]
 
 
-def _coordinate_quadratic_sweep(mats, v, f, zero_tol):
-    """Derivative-free descent sweep: per real coordinate, fit a quadratic
-    through three on-sphere evaluations and jump to its minimizer.
+def _evaluate(mats, v, zero_tol, grad=False):
+    """Entropy sums of the (batch, n) rows v against their (batch, 2, m, n) frame
+    pairs; with grad, also the gradients (batch, n) and the smallest weights."""
+    c, w, log_w, s = entropy_terms(mats, v[:, np.newaxis, :, np.newaxis], zero_tol)
+    f = s[:, 0, 0] + s[:, 1, 0]
+    if not grad:
+        return f
+    g = entropy_gradient(mats, c, w, log_w, zero_tol)
+    return f, g[:, 0, :, 0] + g[:, 1, :, 0], np.min(w, axis=(1, 2, 3), initial=np.inf)
 
-    Used where vanished weights make the log-gradient stiff; shrinks the
-    probe until it finds descent or bottoms out.
-    """
-    n = v.shape[0]
+
+def _sweep(mats, v, f, zero_tol):
+    """Derivative-free sweep of a batch of stiff starts: per real coordinate,
+    fit a quadratic through three on-sphere values and jump to its minimizer.
+    A start with no descent in a whole sweep retries with the probe cut by 32,
+    down to 1e-9.  Returns the new v and whether each start improved."""
+    coords = np.concatenate([np.eye(v.shape[1]), 1j * np.eye(v.shape[1])])
+    v, improved, pending = v.copy(), np.zeros(len(v), dtype=bool), np.arange(len(v))
     h = _SWEEP_PROBE
-    while h >= 1e-9:
-        improved = False
-        for k in range(2 * n):
-            e = np.zeros_like(v)
-            e[k % n] = 1.0 if k < n else 1.0j
-
-            def on_sphere(s):
-                u = v + s * e
-                return u / np.linalg.norm(u)
-
-            fp = _pair_value(mats, on_sphere(h), zero_tol)
-            fm = _pair_value(mats, on_sphere(-h), zero_tol)
-            curve = (fp + fm - 2.0 * f) / (h * h)
+    while h >= 1e-9 and pending.size:
+        vp, fp_, mp, b = v[pending], f[pending], mats[pending], pending.size
+        both, probe = np.concatenate([mp, mp]), np.repeat([h, -h], b)[:, np.newaxis]
+        for e in coords:
+            u = _normalize(np.concatenate([vp, vp]) + probe * e)     # the +h and -h probes
+            fpm = _evaluate(both, u, zero_tol)
+            fp, fm = fpm[:b], fpm[b:]
+            curve = (fp + fm - 2.0 * fp_) / (h * h)
             slope = (fp - fm) / (2.0 * h)
-            if curve > 0:
-                step = float(np.clip(-slope / curve, -8.0 * h, 8.0 * h))
-            else:
-                step = -8.0 * h if slope > 0 else 8.0 * h
-            candidates = [(fp, h), (fm, -h)]
-            vq = on_sphere(step)
-            candidates.append((_pair_value(mats, vq, zero_tol), step))
-            fbest, sbest = min(candidates, key=lambda c: c[0])
-            if fbest < f - 1e-15:
-                v = on_sphere(sbest)
-                f = fbest
-                improved = True
-        if improved:
-            return True, v, f
+            step = np.where(curve > 0,
+                            np.clip(-slope / np.where(curve > 0, curve, 1.0), -8.0 * h, 8.0 * h),
+                            np.where(slope > 0, -8.0 * h, 8.0 * h))
+            uq = _normalize(vp + step[:, np.newaxis] * e)
+            fc = np.stack([fp, fm, _evaluate(mp, uq, zero_tol)])
+            pick = (np.argmin(fc, axis=0), np.arange(b))      # first best of +h, -h, quadratic
+            fbest, ubest = fc[pick], np.stack([u[:b], u[b:], uq])[pick]
+            down = fbest < fp_ - 1e-15
+            vp, fp_ = np.where(down[:, np.newaxis], ubest, vp), np.where(down, fbest, fp_)
+            improved[pending[down]] = True
+        v[pending] = vp                     # unchanged where nothing improved
+        pending = pending[~improved[pending]]
         h /= 32.0
-    return False, v, f
+    return v, improved
 
 
-def _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol):
-    """Projected gradient descent on the unit sphere of C^n from one (n, 1) start.
-
-    Returns (v, f, iterations, converged); converged means the tangent
-    gradient dropped below grad_tol or progress stopped at floating
-    resolution, as opposed to running out of iterations.
-    """
-    v = v0 / np.linalg.norm(v0)
-    f, g, min_w = _pair_value_grad(mats, v, zero_tol)
-    iters = 0
-    converged = False
-    stall = 0
-    while iters < max_iters:
-        iters += 1
-        if min_w < STIFF_TOL:
-            improved, v, f = _coordinate_quadratic_sweep(mats, v, f, zero_tol)
-            if not improved:
-                converged = True
-                break
-            f, g, min_w = _pair_value_grad(mats, v, zero_tol)
-            continue
-        gt = project_tangent(g, v)
-        gnorm = float(np.linalg.norm(gt))
-        if gnorm <= grad_tol:
-            converged = True
+def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
+    """Projected gradient descent on the unit sphere of C^n from every row of
+    v at once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
+    Returns (v, f, iterations, converged) per start; converged means a stop
+    other than running out of iterations (a flat gradient, no descent found,
+    or eight steps in a row without progress at floating resolution)."""
+    v = _normalize(v)
+    f, g, min_w = _evaluate(pair[fiber], v, zero_tol, grad=True)
+    iters, stall = np.zeros((2, len(v)), dtype=np.int64)
+    converged, has_prev = np.zeros((2, len(v)), dtype=bool)   # has_prev: BB has a last step
+    prev_v, prev_gt = np.zeros_like(v), np.zeros_like(v)
+    for _ in range(max_iters):
+        idx = np.flatnonzero(~converged)
+        if idx.size == 0:
             break
-        alpha = 1.0
-        accepted = False
+        iters[idx] += 1
+        stiff, idx = idx[min_w[idx] < STIFF_TOL], idx[min_w[idx] >= STIFF_TOL]
+        if stiff.size:
+            v[stiff], improved = _sweep(pair[fiber[stiff]], v[stiff], f[stiff], zero_tol)
+            has_prev[stiff], converged[stiff[~improved]] = False, True
+            up = stiff[improved]
+            f[up], g[up], min_w[up] = _evaluate(pair[fiber[up]], v[up], zero_tol, grad=True)
+            if idx.size == 0:
+                continue
+        vi = v[idx]
+        gt = project_tangent(g[idx, :, np.newaxis], vi[:, :, np.newaxis])[:, :, 0]
+        gsq = _re_inner(gt, gt)
+        flat = np.sqrt(gsq) <= grad_tol
+        converged[idx[flat]] = True
+        idx, vi, gt, gsq = idx[~flat], vi[~flat], gt[~flat], gsq[~flat]
+        # Barzilai-Borwein trial step <s,s>/Re<s,y>, or 1 with no usable last step
+        s, y = vi - prev_v[idx], gt - prev_gt[idx]
+        sy = _re_inner(s, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bb = np.clip(_re_inner(s, s) / sy, 1e-8, 1e8)
+        alpha = np.where(has_prev[idx] & (sy > 0), bb, 1.0)
+        prev_v[idx], prev_gt[idx] = vi, gt
+        # Armijo backtracking per start; a round evaluates the starts still pending
+        mats, u_new = pair[fiber[idx]], np.empty_like(vi)
+        accepted, pending = np.zeros(idx.size, dtype=bool), np.arange(idx.size)
         for _ in range(60):
-            u = v - alpha * gt
-            u /= np.linalg.norm(u)
-            fu = _pair_value(mats, u, zero_tol)
-            if fu <= f - 1e-4 * alpha * gnorm * gnorm:
-                accepted = True
+            u = _normalize(vi[pending] - alpha[pending, np.newaxis] * gt[pending])
+            fu = _evaluate(mats[pending], u, zero_tol)
+            ok = fu <= f[idx[pending]] - 1e-4 * alpha[pending] * gsq[pending]
+            u_new[pending[ok]], accepted[pending[ok]] = u[ok], True
+            pending = pending[~ok]
+            if pending.size == 0:
                 break
-            alpha *= 0.5
-        if not accepted:
-            converged = True
-            break
-        f_prev = f
-        v = u
-        f, g, min_w = _pair_value_grad(mats, v, zero_tol)
-        if f_prev - f <= 1e-13 * max(1.0, abs(f)):
-            stall += 1
-            if stall >= 8:
-                converged = True
-                break
-        else:
-            stall = 0
+            alpha[pending] *= 0.5
+        converged[idx[~accepted]] = True
+        idx, f_prev = idx[accepted], f[idx[accepted]]
+        v[idx], has_prev[idx] = u_new[accepted], True
+        f[idx], g[idx], min_w[idx] = _evaluate(pair[fiber[idx]], v[idx], zero_tol, grad=True)
+        slow = f_prev - f[idx] <= 1e-13 * np.maximum(1.0, np.abs(f[idx]))
+        stall[idx] = np.where(slow, stall[idx] + 1, 0)
+        converged[idx[stall[idx] >= 8]] = True
     return v, f, iters, converged
-
-
-def _search_fiber(mats, n, restarts, max_iters, seed, t, zero_tol, grad_tol):
-    """Multi-start minimization of one fiber; unit r uses seed ^ (t*restarts + r)."""
-    best_v, best_f, best_conv = None, np.inf, False
-    iters_total = 0
-    for r in range(restarts):
-        unit_seed = seed ^ (t * restarts + r)
-        v0 = random_unit_vector(n, 1, unit_seed).entries
-        v, f, iters, conv = _pgd_fiber(mats, v0, max_iters, zero_tol, grad_tol)
-        iters_total += iters
-        if f < best_f:
-            best_v, best_f, best_conv = v, f, conv
-    return best_v, best_f, best_conv, iters_total
 
 
 def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
@@ -367,17 +365,14 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     bound = bound_value_for(bound_kind, mu)
     n, d = frame_a.n, frame_a.d
 
-    entries = np.empty((n, d), dtype=np.complex128)
-    iterations_used = 0
-    converged = True
-    for t in range(d):
-        mats = [frame_a.analysis[t], frame_b.analysis[t]]
-        v, _f, conv, iters = _search_fiber(mats, n, restarts, max_iters, seed, t,
-                                           zero_tol, grad_tol)
-        entries[:, t] = v[:, 0]
-        iterations_used += iters
-        converged = converged and conv
-    best_x = ModuleVector(entries)
+    # start t*restarts + r runs on fiber t from the vector seeded seed ^ that index
+    starts = np.stack([random_unit_vector(n, 1, seed ^ unit).entries[:, 0]
+                       for unit in range(d * restarts)])
+    pair = np.stack([frame_a.analysis, frame_b.analysis], axis=1)      # (d, 2, m, n)
+    v, f, iters, conv = _descend(pair, np.repeat(np.arange(d), restarts), starts,
+                                 max_iters, zero_tol, grad_tol)
+    best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)
+    best_x = ModuleVector(np.ascontiguousarray(v[best].T))
     best_gap, grazing = recompute_gap(frame_a, frame_b, best_x, bound_kind, zero_tol)
 
     return SearchResult(
@@ -388,8 +383,9 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         mu=mu,
         restarts=restarts,
         max_iters=max_iters,
-        iterations_used=iterations_used,
-        converged=converged,
+        iterations_used=int(iters.sum()),
+        runs_at_max_iters=int(np.count_nonzero(~conv)),
+        converged=bool(conv[best].all()),
         boundary_grazing=grazing,
         seed=seed,
         frames_digest=frames_digest(frame_a, frame_b),
@@ -482,6 +478,7 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "restarts": result.restarts,
         "max_iters": result.max_iters,
         "iterations_used": result.iterations_used,
+        "runs_at_max_iters": result.runs_at_max_iters,
         "converged": result.converged,
         "boundary_grazing": result.boundary_grazing,
         "best_gap": result.best_gap,

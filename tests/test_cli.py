@@ -246,6 +246,7 @@ def test_campaign_records_match_the_library(tmp_path, capsys):
                          "best_gap": result.best_gap,
                          "boundary_grazing": result.boundary_grazing,
                          "converged": result.converged,
+                         "runs_at_max_iters": result.runs_at_max_iters,
                          "candidate": is_counterexample_candidate(result, SEARCH_GAP_TOL)})
     doc = json.loads(out.read_text())
     assert doc["header"]["command"] == "campaign"

@@ -44,6 +44,14 @@ def test_scaled_basis_is_not_parseval():
     assert not is_parseval(fr)
 
 
+def test_is_parseval_rejects_bad_tolerances():
+    fr = gen_onb(2, 1, 1)
+    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            is_parseval(fr, bad)
+    assert is_parseval(fr, 0.5)
+
+
 def test_mercedes_benz_frame():
     fr = mercedes_frame()
     # direct 2x2 frame-operator oracle: sum of outer products

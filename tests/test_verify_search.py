@@ -162,7 +162,7 @@ def test_tolerances_must_be_finite(monkeypatch):
     def descent_started(*args):
         raise AssertionError("the descent ran with a bad tolerance")
 
-    monkeypatch.setattr(verify_search, "_search_fiber", descent_started)
+    monkeypatch.setattr(verify_search, "_descend", descent_started)
     for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
         for kw in ("gap_tol", "zero_tol"):
             with pytest.raises(ValueError, match=f"{kw} must be finite and >= 0"):
@@ -248,6 +248,71 @@ def test_optimizer_never_worse_than_sampling():
     start_gap = min(recompute_gap(fa, fb, random_unit_vector(3, 1, 44 ^ r),
                                   "maassen_uffink")[0] for r in range(16))
     assert res.best_gap <= start_gap + 1e-12
+
+
+def test_runs_at_max_iters_counts_every_capped_run():
+    fa = gen_random_parseval(3, 5, 3, 91)
+    fb = gen_random_parseval(3, 5, 3, 92)
+    capped = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4, max_iters=1, seed=5)
+    assert capped.runs_at_max_iters == 3 * 4
+    assert capped.iterations_used == 3 * 4 and not capped.converged
+    assert search_result_to_dict(capped)["runs_at_max_iters"] == 12
+    full = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4, max_iters=2000, seed=5)
+    assert full.runs_at_max_iters == 0 and full.converged
+
+
+def _binary_entropy(p):
+    """-p ln p - (1-p) ln(1-p) with 0 ln 0 = 0, elementwise."""
+    out = np.zeros_like(p)
+    for q in (p, 1.0 - p):
+        inside = q > 0.0
+        out[inside] -= q[inside] * np.log(q[inside])
+    return out
+
+
+def _qubit_minimum(c1):
+    """Exact minimum of the entropy sum for two bases of C^2 with largest
+    squared overlap c1.  The minimizer lies in the Bloch plane of the two
+    measurement axes, which meet at the angle phi with cos^2(phi/2) = c1,
+    so the minimum is a 1-D one over the Bloch angle theta: a 2*10^6-point
+    grid, refined by golden section around its best point."""
+    phi = 2.0 * np.arccos(np.sqrt(c1))
+
+    def total(theta):
+        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        return (_binary_entropy((1.0 + np.cos(theta)) / 2.0)
+                + _binary_entropy((1.0 + np.cos(theta - phi)) / 2.0))
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 2 * 10 ** 6, endpoint=False)
+    values = total(grid)
+    i = int(np.argmin(values))
+    lo, hi = grid[i] - (grid[1] - grid[0]), grid[i] + (grid[1] - grid[0])
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    for _ in range(80):
+        a, b = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+        if total(a)[0] < total(b)[0]:
+            hi = b
+        else:
+            lo = a
+    return min(float(values[i]), float(total((lo + hi) / 2.0)[0]))
+
+
+@pytest.mark.parametrize("case", [("onb", 1, 201), ("onb", 1, 202), ("onb", 2, 203),
+                                  ("onb", 2, 204), ("onb", 3, 205), ("onb", 3, 206),
+                                  ("fourier", 2, None)])
+def test_search_matches_the_exact_qubit_minimum(case):
+    kind, d, seed = case
+    if kind == "onb":
+        fa, fb = gen_onb(2, d, seed), gen_onb(2, d, seed + 1000)
+    else:
+        # mutually unbiased: the minimum sits at a basis vector, where the sweep runs
+        fa, fb = gen_fourier_pair(2, d)
+    res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4, max_iters=2000, seed=7)
+    # squared overlaps |<tau_j, omega_k>(t)|^2 from the rows of the analysis matrices
+    c1 = [float(np.max(np.abs(np.conj(fa.analysis[t]) @ fb.analysis[t].T) ** 2))
+          for t in range(d)]
+    oracle = min(_qubit_minimum(min(c, 1.0)) for c in c1)
+    assert abs(res.best_gap + res.bound_value - oracle) <= 1e-9
 
 
 def test_candidate_classification():
