@@ -14,7 +14,6 @@ from .algebra import (
     identity,
     involution,
     is_positive,
-    log_positive,
     norm,
     order_geq,
     zero,
@@ -30,7 +29,7 @@ from .entropy_bounds import (
     entropy,
     mu_bound,
 )
-from .errors import DimensionMismatch, DomainError, PreconditionError
+from .errors import DimensionMismatch, PreconditionError
 from .frames import (
     PARSEVAL_TOL,
     Frame,
@@ -71,7 +70,6 @@ __all__ = [
     "AlgebraElement",
     "BuzanoResult",
     "DimensionMismatch",
-    "DomainError",
     "EntropyValue",
     "Frame",
     "ModuleVector",
@@ -101,7 +99,6 @@ __all__ = [
     "is_parseval",
     "is_positive",
     "is_unit_inner",
-    "log_positive",
     "minimize_entropy_sum",
     "module_norm",
     "mu_bound",

@@ -5,8 +5,8 @@ sup-norm, and the usual order (a >= 0 iff every value is a nonnegative
 real).  By Gelfand duality this realizes every finite-dimensional
 commutative unital C*-algebra, so nothing here is an approximation.
 
-The only functional calculus provided is the logarithm of strictly
-positive elements; that is all the entropy machinery downstream needs.
+No functional calculus is provided: the entropy layer takes its
+logarithms (with the 0 ln 0 = 0 convention) on the weights directly.
 All operations are pure functions on immutable values.
 """
 
@@ -16,14 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError, check_tolerance
+from .errors import DimensionMismatch, check_tolerance
 
 # Absolute tolerance for positivity / order checks on floating-point data.
 POSITIVITY_TOL = 1e-9
-
-# Default floor for log_positive: rejects zero and denormal garbage while
-# accepting anything a healthy computation can produce.
-LOG_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -116,31 +112,6 @@ def order_geq(a: AlgebraElement, b: AlgebraElement, tol: float = POSITIVITY_TOL)
     """The C*-order: a >= b iff a - b is positive."""
     _check_same_d(a, b)
     return is_positive(sub(a, b), tol)
-
-
-def log_positive(a: AlgebraElement, floor: float = LOG_FLOOR) -> AlgebraElement:
-    """Pointwise natural logarithm of a strictly positive element.
-
-    Every value must be (numerically) a positive real with real part at
-    least ``floor``.  Nothing is clamped silently: an entry below the
-    floor raises DomainError naming the offending point of X.  The
-    0*log(0) continuity convention is deliberately *not* implemented
-    here; it belongs to the entropy layer.
-    """
-    if not floor > 0:
-        raise ValueError(f"floor must be > 0, got {floor}")
-    v = a.values
-    bad_imag = np.abs(v.imag) > POSITIVITY_TOL
-    if np.any(bad_imag):
-        t = int(np.argmax(bad_imag))
-        raise DomainError(f"log_positive: entry at point {t} is not real: {v[t]}")
-    below = v.real < floor
-    if np.any(below):
-        t = int(np.argmax(below))
-        raise DomainError(
-            f"log_positive: entry at point {t} is below the floor {floor:g}: {v[t].real!r}"
-        )
-    return AlgebraElement(np.log(v.real).astype(np.complex128))
 
 
 def to_json(a: AlgebraElement) -> list:

@@ -10,7 +10,7 @@ candidate (a machine-checkable signal for CI).
 from __future__ import annotations
 
 import argparse
-import csv
+import functools
 import json
 import math
 import os
@@ -32,7 +32,7 @@ from .verify_search import (
     is_counterexample_candidate,
     minimize_entropy_sum,
     proof_chain_check,
-    report_csv_rows,
+    report_to_csv,
     report_to_dict,
     search_result_to_dict,
     verify,
@@ -70,15 +70,36 @@ def _resolve(path: Path) -> Path:
     return path
 
 
+def _render_value(value) -> str:
+    """One top-level value of a report, as ``json.dumps(doc, indent=2)`` lays it out.
+
+    A non-empty flat list of ints and floats (``trial_gaps``,
+    ``trial_worst_fiber``) is encoded in one call of the C encoder, whose
+    ``", "`` separators then become the indented layout's line breaks;
+    numbers never contain ``", "``.  ``indent=2`` alone would take the
+    pure-Python encoder, one element at a time.  Every other value is
+    encoded with ``indent=2`` and moved one level in.
+    """
+    if type(value) is list and value and set(map(type, value)) <= {int, float}:
+        return "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+    return json.dumps(value, indent=2).replace("\n", "\n  ")
+
+
 def render_report(command: str, body: dict) -> str:
-    """The text of a report: the standard header, then the body's keys in order."""
+    """The text of a report: the standard header, then the body's keys in order.
+
+    Byte for byte what ``json.dumps({"header": header, **body}, indent=2)``
+    gives, followed by a newline.
+    """
     header = {
         "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "tool": "moduncert",
         "version": __version__,
         "command": command,
     }
-    return json.dumps({"header": header, **body}, indent=2) + "\n"
+    items = {"header": header, **body}.items()
+    return "{\n  " + ",\n  ".join(f"{json.dumps(key)}: {_render_value(value)}"
+                                  for key, value in items) + "\n}\n"
 
 
 def _write_json(path: Path, command: str, body: dict) -> None:
@@ -173,8 +194,7 @@ def _cmd_verify(args) -> int:
     if args.csv is not None:
         path = _resolve(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerows(report_csv_rows(report))
+        path.write_text(report_to_csv(report), newline="")
     verdict = "OK" if not report.violations else f"{len(report.violations)} VIOLATIONS"
     print(f"verify: bound={report.bound_value:.6f} ({report.bound_kind}, mu={report.mu:.6f})"
           f" trials={report.trials} min_gap={report.min_gap:.6f} -> {verdict}")
@@ -239,7 +259,13 @@ def _cmd_chain(args) -> int:
     return EXIT_OK if ok else EXIT_VIOLATION
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and shared by every ``main`` call.
+
+    Parsing leaves it unchanged (each call gets a fresh namespace), so
+    callers must not modify it either.
+    """
     parser = argparse.ArgumentParser(
         prog="moduncert",
         description="Entropy uncertainty bounds over C(X)-modules: generate frames, "

@@ -7,10 +7,6 @@ class DimensionMismatch(ValueError):
     """Operands live over different point sets / module ranks."""
 
 
-class DomainError(ValueError):
-    """Functional-calculus input outside the function's domain."""
-
-
 class PreconditionError(ValueError):
     """A documented operation precondition does not hold."""
 

@@ -458,11 +458,12 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def report_csv_rows(report: VerificationReport):
-    """One row per trial: trial index, min fiber gap, worst fiber index."""
-    yield ("trial", "min_gap", "worst_fiber")
-    for i in range(report.trials):
-        yield (i, repr(float(report.trial_gaps[i])), int(report.trial_worst_fiber[i]))
+def report_to_csv(report: VerificationReport) -> str:
+    """Per-trial CSV text: a header, then trial index, min fiber gap and worst
+    fiber index, one row per trial, with the CRLF line ends of ``csv.writer``."""
+    rows = [f"{i},{gap!r},{fiber}\r\n" for i, (gap, fiber) in
+            enumerate(zip(report.trial_gaps.tolist(), report.trial_worst_fiber.tolist()))]
+    return "trial,min_gap,worst_fiber\r\n" + "".join(rows)
 
 
 def search_result_to_dict(result: SearchResult) -> dict:

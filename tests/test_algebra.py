@@ -6,11 +6,9 @@ from hypothesis import strategies as st
 from moduncert import (
     AlgebraElement,
     DimensionMismatch,
-    DomainError,
     identity,
     involution,
     is_positive,
-    log_positive,
     norm,
     order_geq,
     zero,
@@ -86,48 +84,6 @@ def test_dimension_mismatch():
         add(identity(2), identity(3))
     with pytest.raises(DimensionMismatch):
         order_geq(identity(2), identity(3), 0.0)
-
-
-def test_log_positive_values():
-    out = log_positive(elem(1.0, np.e), 1e-300)
-    assert np.allclose(out.values, [0.0, 1.0])
-    assert np.all(out.values.imag == 0.0)
-    assert np.allclose(log_positive(identity(4)).values, 0.0)
-
-
-def test_log_positive_rejects_below_floor():
-    with pytest.raises(DomainError, match="point 1"):
-        log_positive(elem(1.0, 0.0), 1e-300)
-    with pytest.raises(DomainError):
-        log_positive(elem(1.0, -2.0), 1e-300)
-
-
-def test_log_dominated_by_log_of_norm():
-    rng = np.random.default_rng(4)
-    for _ in range(200):
-        a = AlgebraElement((rng.random(5) + 1e-6).astype(complex))
-        s = norm(a)
-        bound = AlgebraElement(np.full(5, np.log(s), dtype=complex))
-        assert order_geq(bound, log_positive(a), 1e-12)
-
-
-def test_log_monotone_pointwise():
-    rng = np.random.default_rng(5)
-    for _ in range(200):
-        a = AlgebraElement((rng.random(5) + 1e-10).astype(complex))
-        b = add(a, AlgebraElement(rng.random(5).astype(complex)))
-        assert order_geq(b, a, 0.0)
-        assert order_geq(log_positive(b), log_positive(a), 1e-12)
-
-
-def test_log_additive_on_positives():
-    rng = np.random.default_rng(6)
-    for _ in range(200):
-        a = AlgebraElement((rng.random(5) + 0.1).astype(complex))
-        b = AlgebraElement((rng.random(5) + 0.1).astype(complex))
-        lhs = log_positive(mul(a, b)).values
-        rhs = (log_positive(a) + log_positive(b)).values
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)

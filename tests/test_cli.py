@@ -1,13 +1,31 @@
+import csv
+import io
 import json
+import math
 import subprocess
 import sys
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from moduncert import campaign, cli, is_counterexample_candidate, is_parseval, verify
+from moduncert import (
+    campaign,
+    cli,
+    gen_random_parseval,
+    is_counterexample_candidate,
+    is_parseval,
+    minimize_entropy_sum,
+    verify,
+)
 from moduncert import frames as frames_mod
-from moduncert.cli import main
-from moduncert.verify_search import SEARCH_GAP_TOL, report_to_dict, search_result_to_dict
+from moduncert.cli import main, render_report
+from moduncert.verify_search import (
+    SEARCH_GAP_TOL,
+    report_to_csv,
+    report_to_dict,
+    search_result_to_dict,
+)
 
 
 def run_cli(capsys, *argv):
@@ -301,3 +319,122 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.707107"
+
+
+def json_dumps_report(text, body):
+    """What ``render_report`` must equal: ``json.dumps`` of the whole document,
+    with the header (and so the timestamp) that the rendered text carries."""
+    header = json.loads(text)["header"]
+    return json.dumps({"header": header, **body}, indent=2) + "\n"
+
+
+def first_difference(got: str, want: str) -> str:
+    i = next((k for k, (g, w) in enumerate(zip(got, want)) if g != w), min(len(got), len(want)))
+    lo = max(i - 20, 0)
+    return f"first difference at offset {i}: {got[lo:i + 20]!r} != {want[lo:i + 20]!r}"
+
+
+EDGE_BODY = {
+    "kind": "edge",
+    "empty": [],
+    "one": [7],
+    "ints": [0, -1, 2 ** 70],
+    "bools": [True, False],
+    "int_and_bool": [1, True],
+    "mixed": [1, 2.5, -3, 0.1, 1e-300],
+    "nonfinite": [math.nan, math.inf, -math.inf, -0.0],
+    "numpy_floats": [np.float64(0.5), np.float64(-1e-17)],
+    "nested": [[1, 2], [3.5], []],
+    "flat_in_dict": {"gaps": [1.0, 2.0], "empty": {}},
+    "strings": ["a, b", "c\nd"],
+    "text": 'line\nbreak, "quoted", \u00fc \u2603',
+    "cl\u00e9\n": None,
+    "scalar": 1.5,
+    "empty_dict": {},
+}
+
+
+def test_render_report_matches_json_dumps():
+    fra, frb = gen_random_parseval(6, 10, 4, 3), gen_random_parseval(6, 10, 4, 4)
+    rep = verify(fra, frb, "deutsch", trials=1024, seed=5)
+    flagged = replace(rep, violations=((0, 1, -0.5), (3, 0, -1e-9)),
+                      boundary_graze_trials=(3,))
+    res = minimize_entropy_sum(fra, frb, "maassen_uffink", restarts=1, max_iters=50, seed=2)
+    bodies = {"verify": report_to_dict(rep), "flagged": report_to_dict(flagged),
+              "search": search_result_to_dict(res), "edge": EDGE_BODY,
+              "one_key": {"kind": "x"}}
+    for command, body in bodies.items():
+        text = render_report(command, body)
+        want = json_dumps_report(text, body)
+        same = text == want
+        assert same, f"{command}: {first_difference(text, want)}"
+
+
+def test_cli_reports_match_json_dumps(tmp_path, pair, capsys):
+    a, b = pair
+    runs = {
+        "campaign": ("campaign", *CAMPAIGN_FLAGS),
+        "entropy": ("entropy", str(a), str(tmp_path / "v.json")),
+        "coherence": ("coherence", str(a), str(b)),
+        "verify": ("verify", str(a), str(b), "--trials", "300", "--seed", "4"),
+        "search": ("search", str(a), str(b), "--restarts", "2", "--max-iters", "50"),
+    }
+    code, _, _ = run_cli(capsys, "gen", "--kind", "unit-vector", "--n", "2",
+                         "--seed", "7", "--out", str(tmp_path / "v.json"))
+    assert code == 0
+    paths = [a, b, tmp_path / "v.json"]
+    for name, argv in runs.items():
+        paths.append(tmp_path / f"{name}.json")
+        code, _, _ = run_cli(capsys, *argv, "--out", str(paths[-1]))
+        assert code == 0, name
+    for path in paths:
+        text = path.read_text()
+        want = json.dumps(json.loads(text), indent=2) + "\n"
+        same = text == want
+        assert same, f"{path.name}: {first_difference(text, want)}"
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, pair, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    a, b = pair
+    csv_path, r1, r2 = tmp_path / "t.csv", tmp_path / "r1.json", tmp_path / "r2.json"
+    code, _, _ = run_cli(capsys, "verify", str(a), str(b), "--csv", str(csv_path),
+                         "--trials", "5", "--out", str(r1))
+    assert code == 0
+    assert len(csv_path.read_text().splitlines()) == 6
+    csv_path.unlink()
+    code, _, _ = run_cli(capsys, "verify", str(a), str(b), "--out", str(r2))
+    assert code == 0
+    assert not csv_path.exists()
+    assert json.loads(r2.read_text())["trials"] == 1000
+
+    restarts = []
+    for extra in (("--restarts", "3"), ()):
+        code, _, _ = run_cli(capsys, "search", str(a), str(b), "--max-iters", "50",
+                             *extra, "--out", str(r1))
+        assert code == 0
+        restarts.append(json.loads(r1.read_text())["restarts"])
+    assert restarts == [3, 32]
+
+
+def _csv_writer_text(report):
+    """The per-trial CSV as ``csv.writer`` writes it, one row at a time."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(("trial", "min_gap", "worst_fiber"))
+    writer.writerows((i, repr(float(report.trial_gaps[i])), int(report.trial_worst_fiber[i]))
+                     for i in range(report.trials))
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("trials", [1, 1024])
+def test_report_to_csv_matches_csv_writer(trials):
+    fra, frb = gen_random_parseval(6, 10, 4, 3), gen_random_parseval(6, 10, 4, 4)
+    rep = verify(fra, frb, "deutsch", trials=trials, seed=5)
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, -2.5e-17, 0.1, 123456789.0])
+    for report in (rep, replace(rep, trials=odd.size, trial_gaps=odd,
+                                trial_worst_fiber=np.arange(odd.size) % 4)):
+        got, want = report_to_csv(report), _csv_writer_text(report)
+        # a bool, so that a failure names the first difference instead of diffing every row
+        same = got == want
+        assert same, first_difference(got, want)

@@ -27,7 +27,7 @@ from moduncert import verify_search
 from moduncert.verify_search import (
     bound_value_for,
     canonical_json,
-    report_csv_rows,
+    report_to_csv,
     report_to_dict,
     search_result_to_dict,
 )
@@ -335,10 +335,10 @@ def test_report_serialization_shapes():
     assert doc["kind"] == "verification"
     assert len(doc["trial_gaps"]) == 10
     assert json.dumps(doc)  # JSON-serializable as-is
-    rows = list(report_csv_rows(rep))
-    assert rows[0] == ("trial", "min_gap", "worst_fiber")
-    assert len(rows) == 11
-    assert float(rows[1][1]) == pytest.approx(float(rep.trial_gaps[0]), abs=0)
+    rows = report_to_csv(rep).split("\r\n")
+    assert rows[0] == "trial,min_gap,worst_fiber"
+    assert len(rows) == 12 and rows[-1] == ""
+    assert float(rows[1].split(",")[1]) == pytest.approx(float(rep.trial_gaps[0]), abs=0)
 
     res = minimize_entropy_sum(fra, frb, "deutsch", restarts=2, max_iters=50, seed=1)
     sdoc = search_result_to_dict(res)
