@@ -231,6 +231,7 @@ def _cmd_campaign(args) -> int:
         rec = {**spec, "mu": result.mu, "bound_value": result.bound_value,
                "best_gap": result.best_gap, "boundary_grazing": result.boundary_grazing,
                "converged": result.converged, "runs_at_max_iters": result.runs_at_max_iters,
+               "newton_steps": result.newton_steps, "sweep_entries": result.sweep_entries,
                "candidate": candidate}
         if candidate:
             rec["witness"] = search_result_to_dict(result)

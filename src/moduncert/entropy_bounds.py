@@ -10,8 +10,9 @@ with the continuity convention a ln a := 0 at a = 0.  At d = 1 this is
 the ordinary Shannon entropy of the measurement distribution.  The
 in_domain flag preserves the strict reading in which no coefficient may
 vanish; the continuous extension is what makes boundary infima of the
-uncertainty functional reachable.  Every evaluation of S, and of its
-gradient, goes through ``entropy_terms`` and ``entropy_gradient``.
+uncertainty functional reachable.  Every evaluation of S, of its
+gradient and of its Hessian goes through ``entropy_terms``,
+``entropy_gradient`` and ``entropy_hessian``.
 
 Bounds: for coherence mu = max_{j,k} ||<tau_j, omega_k>||, the Deutsch
 bound is -2 ln((1 + mu)/2) and the Maassen-Uffink (Kraus) bound is
@@ -85,6 +86,25 @@ def entropy_gradient(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: 
     matching the continuous extension of the entropy."""
     coeff = np.where(w > zero_tol, log_w + 1.0, 0.0)
     return -2.0 * (np.conj(np.swapaxes(analysis, -1, -2)) @ (coeff * c))
+
+
+def entropy_hessian(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: np.ndarray,
+                    zero_tol: float = ZERO_TOL) -> np.ndarray:
+    """Real (..., 2n, 2n) Hessian of the entropy in [Re x, Im x] coordinates
+    at the columns behind ``entropy_terms``, reusing their terms.  With R_j
+    the real 2 x 2n form of row j and r_j = R_j^T [Re c_j, Im c_j], weight j
+    adds -2 (ln w_j + 1) R_j^T R_j - (4 / w_j) r_j r_j^T; vanished weights
+    add nothing, as in ``entropy_gradient``."""
+    live = w > zero_tol
+    coeff = np.where(live, -2.0 * (log_w + 1.0), 0.0)
+    inv = np.where(live, 4.0 / np.where(live, w, 1.0), 0.0)
+    # sum_j coeff_j R_j^T R_j is the real form [[Re M, -Im M], [Im M, Re M]] of M = A^H diag(coeff) A
+    big = np.conj(np.swapaxes(analysis, -1, -2)) @ (coeff * analysis)
+    gram = np.concatenate([np.concatenate([big.real, -big.imag], axis=-1),
+                           np.concatenate([big.imag, big.real], axis=-1)], axis=-2)
+    r = np.conj(analysis) * c                        # row j: conj(a_j) c_j, i.e. r_j packed
+    r = np.concatenate([r.real, r.imag], axis=-1)    # (..., m, 2n)
+    return gram - np.swapaxes(r, -1, -2) @ (inv * r)
 
 
 def entropy(frame: Frame, x: ModuleVector, zero_tol: float = ZERO_TOL, *,

@@ -11,7 +11,14 @@ gradient to the tangent space, step, renormalize) from several starts.
 All d*restarts starts descend as one batch against the (d, 2, m, n) stack
 of both frames' analysis arrays.  Each start runs its own Armijo
 backtracking from a Barzilai-Borwein trial step, and starts whose weights
-vanish take a derivative-free coordinate sweep instead.  Entropies use
+vanish take a derivative-free coordinate sweep instead.  Once a start's
+tangent gradient is at most ``NEWTON_TOL`` it is polished by Riemannian
+Newton steps (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
+Manifolds, 2008, ch. 6), which converge quadratically where gradient steps
+crawl: the Newton direction, from the Hessian ``entropy_hessian``, is
+solved on the horizontal space orthogonal to x and i*x, taken only when it
+is a descent direction by the angle test, and backtracked by Armijo from
+step 1; otherwise the start keeps its gradient step.  Entropies use
 the 0*ln(0) extension so boundary infima -- where the sharper bound is
 attained -- are reachable.
 
@@ -22,12 +29,13 @@ in isolation.  Verify trial i is unit i of the counter-based stream
 trial), so distinct seeds give independent samples.  A search start
 (fiber*restarts + restart) is still seeded S XOR unit-index, and its
 arithmetic does not depend on which starts share its batch: the descent
-uses only elementwise operations, per-start matrix products and
-per-start reductions over a fixed axis.
+uses only elementwise operations, per-start matrix products and linear
+solves, and per-start reductions over a fixed axis.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 from dataclasses import dataclass
@@ -42,6 +50,7 @@ from .entropy_bounds import (
     deutsch_bound,
     entropy,
     entropy_gradient,
+    entropy_hessian,
     entropy_terms,
     fiber_columns,
     mu_bound,
@@ -66,6 +75,7 @@ SEARCH_GAP_TOL = 1e-6      # gap below -tol counts as a counterexample candidate
 STIFF_TOL = 1e-6           # weights below this make the log-gradient stiff
 _SWEEP_PROBE = 1e-2        # first probe step of the stiff coordinate sweep
 GRAD_TOL = 1e-8            # tangent gradient norm stopping threshold
+NEWTON_TOL = 0.1           # tangent gradient norm at or below which Newton steps are tried
 
 # A vectorized batch holds at most _VERIFY_CHUNK trials and at most
 # _VERIFY_CHUNK_COEFFS coefficients per frame, so that the batch temporaries
@@ -104,7 +114,9 @@ class SearchResult:
 
     ``best_gap`` is recomputed from scratch at report time from the
     assembled ``best_x``; ``boundary_grazing`` marks minima sitting
-    within zero_tol of a vanished coefficient.
+    within zero_tol of a vanished coefficient.  ``newton_steps`` counts the
+    accepted Newton steps and ``sweep_entries`` the start-iterations spent
+    in the stiff sweep, both summed over every (fiber, restart) run.
     """
 
     best_x: ModuleVector
@@ -116,6 +128,8 @@ class SearchResult:
     max_iters: int
     iterations_used: int
     runs_at_max_iters: int
+    newton_steps: int
+    sweep_entries: int
     converged: bool
     boundary_grazing: bool
     seed: int
@@ -240,15 +254,43 @@ def _normalize(v):
     return v / np.sqrt(_re_inner(v, v))[:, np.newaxis]
 
 
-def _evaluate(mats, v, zero_tol, grad=False):
+def _evaluate(mats, v, zero_tol):
     """Entropy sums of the (batch, n) rows v against their (batch, 2, m, n) frame
-    pairs; with grad, also the gradients (batch, n) and the smallest weights."""
+    pairs, and the kernel terms (c, w, log_w) behind them."""
     c, w, log_w, s = entropy_terms(mats, v[:, np.newaxis, :, np.newaxis], zero_tol)
-    f = s[:, 0, 0] + s[:, 1, 0]
-    if not grad:
-        return f
-    g = entropy_gradient(mats, c, w, log_w, zero_tol)
-    return f, g[:, 0, :, 0] + g[:, 1, :, 0], np.min(w, axis=(1, 2, 3), initial=np.inf)
+    return s[:, 0, 0] + s[:, 1, 0], (c, w, log_w)
+
+
+def _gradient(mats, terms, zero_tol):
+    """Gradients (batch, n) of the entropy sums from their kernel terms."""
+    g = entropy_gradient(mats, *terms, zero_tol)
+    return g[:, 0, :, 0] + g[:, 1, :, 0]
+
+
+def _newton(mats, v, g, gt, terms, zero_tol):
+    """Riemannian Newton directions (batch, n) at the unit rows v, from the
+    gradients g, tangent gradients gt and kernel terms there.  The entropy sum
+    is constant along i*v, so the system is solved on the horizontal space
+    orthogonal to v and i*v: P (H - Re<v, g> I) P + v v^T + (iv)(iv)^T, in
+    [Re, Im] coordinates.  A start whose system is exactly singular gets NaN."""
+    hess = entropy_hessian(mats, *terms, zero_tol)
+    hess = hess[:, 0] + hess[:, 1]
+    eye = np.eye(hess.shape[-1])
+    x = np.concatenate([v.real, v.imag], axis=-1)[:, :, np.newaxis]
+    ix = np.concatenate([-v.imag, v.real], axis=-1)[:, :, np.newaxis]
+    normal = x @ np.swapaxes(x, 1, 2) + ix @ np.swapaxes(ix, 1, 2)
+    shifted = hess - _re_inner(v, g)[:, np.newaxis, np.newaxis] * eye
+    system = (eye - normal) @ shifted @ (eye - normal) + normal
+    rhs = -np.concatenate([gt.real, gt.imag], axis=-1)[:, :, np.newaxis]
+    try:
+        eta = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:       # solve start by start, so the others keep theirs
+        eta = np.full_like(rhs, np.nan)
+        for k in range(len(rhs)):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                eta[k] = np.linalg.solve(system[k], rhs[k])
+    n = v.shape[1]
+    return eta[:, :n, 0] + 1j * eta[:, n:, 0]
 
 
 def _sweep(mats, v, f, zero_tol):
@@ -264,7 +306,7 @@ def _sweep(mats, v, f, zero_tol):
         both, probe = np.concatenate([mp, mp]), np.repeat([h, -h], b)[:, np.newaxis]
         for e in coords:
             u = _normalize(np.concatenate([vp, vp]) + probe * e)     # the +h and -h probes
-            fpm = _evaluate(both, u, zero_tol)
+            fpm = _evaluate(both, u, zero_tol)[0]
             fp, fm = fpm[:b], fpm[b:]
             curve = (fp + fm - 2.0 * fp_) / (h * h)
             slope = (fp - fm) / (2.0 * h)
@@ -272,7 +314,7 @@ def _sweep(mats, v, f, zero_tol):
                             np.clip(-slope / np.where(curve > 0, curve, 1.0), -8.0 * h, 8.0 * h),
                             np.where(slope > 0, -8.0 * h, 8.0 * h))
             uq = _normalize(vp + step[:, np.newaxis] * e)
-            fc = np.stack([fp, fm, _evaluate(mp, uq, zero_tol)])
+            fc = np.stack([fp, fm, _evaluate(mp, uq, zero_tol)[0]])
             pick = (np.argmin(fc, axis=0), np.arange(b))      # first best of +h, -h, quadratic
             fbest, ubest = fc[pick], np.stack([u[:b], u[b:], uq])[pick]
             down = fbest < fp_ - 1e-15
@@ -285,14 +327,18 @@ def _sweep(mats, v, f, zero_tol):
 
 
 def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
-    """Projected gradient descent on the unit sphere of C^n from every row of
-    v at once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
-    Returns (v, f, iterations, converged) per start; converged means a stop
-    other than running out of iterations (a flat gradient, no descent found,
-    or eight steps in a row without progress at floating resolution)."""
+    """Riemannian descent on the unit sphere of C^n from every row of v at
+    once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
+    Returns, per start, (v, f, iterations, converged, Newton steps, sweep
+    entries); converged means a stop other than running out of iterations (a
+    flat gradient, no descent found, or eight steps in a row without progress
+    at floating resolution).  Each start keeps its kernel terms at its current
+    point: the gradient and the Hessian come from them, and an accepted
+    Armijo trial hands over its own."""
     v = _normalize(v)
-    f, g, min_w = _evaluate(pair[fiber], v, zero_tol, grad=True)
-    iters, stall = np.zeros((2, len(v)), dtype=np.int64)
+    f, terms = _evaluate(pair[fiber], v, zero_tol)
+    g = _gradient(pair[fiber], terms, zero_tol)
+    iters, stall, newton, sweeps = np.zeros((4, len(v)), dtype=np.int64)
     converged, has_prev = np.zeros((2, len(v)), dtype=bool)   # has_prev: BB has a last step
     prev_v, prev_gt = np.zeros_like(v), np.zeros_like(v)
     for _ in range(max_iters):
@@ -300,12 +346,17 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         if idx.size == 0:
             break
         iters[idx] += 1
-        stiff, idx = idx[min_w[idx] < STIFF_TOL], idx[min_w[idx] >= STIFF_TOL]
+        min_w = np.min(terms[1][idx], axis=(1, 2, 3), initial=np.inf)
+        stiff, idx = idx[min_w < STIFF_TOL], idx[min_w >= STIFF_TOL]
         if stiff.size:
+            sweeps[stiff] += 1
             v[stiff], improved = _sweep(pair[fiber[stiff]], v[stiff], f[stiff], zero_tol)
             has_prev[stiff], converged[stiff[~improved]] = False, True
             up = stiff[improved]
-            f[up], g[up], min_w[up] = _evaluate(pair[fiber[up]], v[up], zero_tol, grad=True)
+            f[up], new = _evaluate(pair[fiber[up]], v[up], zero_tol)
+            for store, t in zip(terms, new):
+                store[up] = t
+            g[up] = _gradient(pair[fiber[up]], new, zero_tol)
             if idx.size == 0:
                 continue
         vi = v[idx]
@@ -321,26 +372,42 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
             bb = np.clip(_re_inner(s, s) / sy, 1e-8, 1e8)
         alpha = np.where(has_prev[idx] & (sy > 0), bb, 1.0)
         prev_v[idx], prev_gt[idx] = vi, gt
+        # direction d and slope Re<gt, d>: the gradient's, or in the quadratic
+        # tail the Newton direction's where it passes the angle test, from step 1
+        mats, d, slope = pair[fiber[idx]], -gt, -gsq
+        use_newton = np.zeros(idx.size, dtype=bool)
+        tail = np.flatnonzero(np.sqrt(gsq) <= NEWTON_TOL)
+        if tail.size:
+            eta = _newton(mats[tail], vi[tail], g[idx[tail]], gt[tail],
+                          [t[idx[tail]] for t in terms], zero_tol)
+            eg = _re_inner(gt[tail], eta)
+            keep = eg <= -1e-6 * np.sqrt(gsq[tail] * _re_inner(eta, eta))
+            tail, eta, eg = tail[keep], eta[keep], eg[keep]
+            d[tail], slope[tail], alpha[tail], use_newton[tail] = eta, eg, 1.0, True
         # Armijo backtracking per start; a round evaluates the starts still pending
-        mats, u_new = pair[fiber[idx]], np.empty_like(vi)
+        u_new, f_new = np.empty_like(vi), np.empty_like(gsq)
         accepted, pending = np.zeros(idx.size, dtype=bool), np.arange(idx.size)
         for _ in range(60):
-            u = _normalize(vi[pending] - alpha[pending, np.newaxis] * gt[pending])
-            fu = _evaluate(mats[pending], u, zero_tol)
-            ok = fu <= f[idx[pending]] - 1e-4 * alpha[pending] * gsq[pending]
-            u_new[pending[ok]], accepted[pending[ok]] = u[ok], True
+            u = _normalize(vi[pending] + alpha[pending, np.newaxis] * d[pending])
+            fu, new = _evaluate(mats[pending], u, zero_tol)
+            ok = fu <= f[idx[pending]] + 1e-4 * alpha[pending] * slope[pending]
+            done = pending[ok]
+            u_new[done], f_new[done], accepted[done] = u[ok], fu[ok], True
+            for store, t in zip(terms, new):
+                store[idx[done]] = t[ok]
             pending = pending[~ok]
             if pending.size == 0:
                 break
             alpha[pending] *= 0.5
         converged[idx[~accepted]] = True
+        newton[idx[accepted & use_newton]] += 1
         idx, f_prev = idx[accepted], f[idx[accepted]]
-        v[idx], has_prev[idx] = u_new[accepted], True
-        f[idx], g[idx], min_w[idx] = _evaluate(pair[fiber[idx]], v[idx], zero_tol, grad=True)
+        v[idx], f[idx], has_prev[idx] = u_new[accepted], f_new[accepted], True
+        g[idx] = _gradient(pair[fiber[idx]], [t[idx] for t in terms], zero_tol)
         slow = f_prev - f[idx] <= 1e-13 * np.maximum(1.0, np.abs(f[idx]))
         stall[idx] = np.where(slow, stall[idx] + 1, 0)
         converged[idx[stall[idx] >= 8]] = True
-    return v, f, iters, converged
+    return v, f, iters, converged, newton, sweeps
 
 
 def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
@@ -369,8 +436,8 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     starts = np.stack([random_unit_vector(n, 1, seed ^ unit).entries[:, 0]
                        for unit in range(d * restarts)])
     pair = np.stack([frame_a.analysis, frame_b.analysis], axis=1)      # (d, 2, m, n)
-    v, f, iters, conv = _descend(pair, np.repeat(np.arange(d), restarts), starts,
-                                 max_iters, zero_tol, grad_tol)
+    v, f, iters, conv, newton, sweeps = _descend(pair, np.repeat(np.arange(d), restarts),
+                                                 starts, max_iters, zero_tol, grad_tol)
     best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)
     best_x = ModuleVector(np.ascontiguousarray(v[best].T))
     best_gap, grazing = recompute_gap(frame_a, frame_b, best_x, bound_kind, zero_tol)
@@ -385,6 +452,8 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         max_iters=max_iters,
         iterations_used=int(iters.sum()),
         runs_at_max_iters=int(np.count_nonzero(~conv)),
+        newton_steps=int(newton.sum()),
+        sweep_entries=int(sweeps.sum()),
         converged=bool(conv[best].all()),
         boundary_grazing=grazing,
         seed=seed,
@@ -480,6 +549,8 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "max_iters": result.max_iters,
         "iterations_used": result.iterations_used,
         "runs_at_max_iters": result.runs_at_max_iters,
+        "newton_steps": result.newton_steps,
+        "sweep_entries": result.sweep_entries,
         "converged": result.converged,
         "boundary_grazing": result.boundary_grazing,
         "best_gap": result.best_gap,

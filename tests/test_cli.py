@@ -265,6 +265,8 @@ def test_campaign_records_match_the_library(tmp_path, capsys):
                          "boundary_grazing": result.boundary_grazing,
                          "converged": result.converged,
                          "runs_at_max_iters": result.runs_at_max_iters,
+                         "newton_steps": result.newton_steps,
+                         "sweep_entries": result.sweep_entries,
                          "candidate": is_counterexample_candidate(result, SEARCH_GAP_TOL)})
     doc = json.loads(out.read_text())
     assert doc["header"]["command"] == "campaign"

@@ -19,6 +19,7 @@ from moduncert import (
 from moduncert.entropy_bounds import (
     cross_inner_norms,
     entropy_gradient,
+    entropy_hessian,
     entropy_terms,
     fiber_columns,
     project_tangent,
@@ -233,6 +234,53 @@ def test_fiber_gradient_matches_finite_differences():
         rel = np.max(np.abs(gt - fd)) / max(1.0, np.max(np.abs(fd)))
         assert rel <= 1e-5
         checked += 1
+
+
+def _real_gradient(analysis, x):
+    """Entropy gradient at the (d, n, 1) columns x as (d, 2n) [Re, Im] rows."""
+    g = entropy_gradient(analysis, *entropy_terms(analysis, x)[:3])[..., 0]
+    return np.concatenate([g.real, g.imag], axis=-1)
+
+
+def test_entropy_hessian_matches_central_differences_of_the_gradient():
+    rng = np.random.default_rng(11)
+    checked = 0
+    while checked < 100:
+        n = int(rng.integers(2, 6))
+        m = int(rng.integers(n, 9))
+        d = int(rng.integers(1, 4))
+        a = gen_random_parseval(n, m, d, int(rng.integers(0, 2 ** 31))).analysis
+        x = fiber_columns(random_unit_vector(n, d, int(rng.integers(0, 2 ** 31))).entries)
+        c, w, log_w, _s = entropy_terms(a, x)
+        if w.min() < 1e-3:
+            continue
+        hess = entropy_hessian(a, c, w, log_w)
+        assert hess.shape == (d, 2 * n, 2 * n)
+        scale = max(1.0, np.max(np.abs(hess)))
+        assert np.max(np.abs(hess - np.swapaxes(hess, -1, -2))) <= 1e-12 * scale
+        # column k: central difference of the gradient along real coordinate k
+        h = 1e-6
+        fd = np.empty_like(hess)
+        for k in range(2 * n):
+            e = np.zeros((n, 1), dtype=complex)
+            e[k % n] = 1.0 if k < n else 1j
+            fd[:, :, k] = (_real_gradient(a, x + h * e) - _real_gradient(a, x - h * e)) / (2 * h)
+        assert np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-5
+        checked += 1
+
+
+def test_entropy_hessian_drops_vanished_weights():
+    fr = gen_random_parseval(3, 5, 1, 12)
+    row = fr.analysis[0, 2]                      # make weight 2 vanish
+    y = random_unit_vector(3, 1, 13).entries[:, 0]
+    y = y - (row @ y) * np.conj(row) / np.vdot(row, row).real
+    x = (y / np.linalg.norm(y))[:, np.newaxis]
+    c, w, log_w, _s = entropy_terms(fr.analysis[0], x)
+    assert w[2, 0] <= 1e-12
+    keep = [0, 1, 3, 4]
+    dropped = entropy_hessian(fr.analysis[0, keep], c[keep], w[keep], log_w[keep])
+    assert np.allclose(entropy_hessian(fr.analysis[0], c, w, log_w), dropped,
+                       rtol=0, atol=1e-12)
 
 
 def test_entropy_fibers_decouple():

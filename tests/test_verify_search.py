@@ -24,6 +24,7 @@ from moduncert import (
     verify,
 )
 from moduncert import verify_search
+from moduncert.entropy_bounds import project_tangent
 from moduncert.verify_search import (
     bound_value_for,
     canonical_json,
@@ -236,6 +237,52 @@ def test_search_decoupling_across_fibers():
         assert np.array_equal(sub.best_x.entries[:, 0], res.best_x.entries[:, t])
         worst_entropy = min(worst_entropy, sub.best_gap + sub.bound_value)
     assert res.best_gap == pytest.approx(worst_entropy - res.bound_value, abs=1e-6)
+    assert res.newton_steps > 0
+
+
+def test_descent_start_is_independent_of_its_batch():
+    fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
+    pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
+    fiber = np.array([0, 1, 0, 1, 0, 1, 0, 1])
+    v = unit_vector_stream(3, 1, 123, 0, 8)[:, :, 0]
+    for b in (0, 3, 6):      # a vanished weight of the first frame: these starts are stiff
+        row = pair[fiber[b], 0, 0]
+        v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
+    batch = verify_search._descend(pair, fiber, v, 2000, 1e-12, 1e-8)
+    newton, sweeps = batch[4:]
+    assert sweeps[[0, 3, 6]].all() and newton[sweeps == 0].all()
+    for b in range(8):
+        alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], 2000, 1e-12, 1e-8)
+        for got, want in zip(alone[:3], batch[:3]):      # v, f and iterations
+            assert np.array_equal(got[0], want[b])
+
+
+def test_newton_direction_survives_a_singular_system():
+    fa, fb = gen_random_parseval(3, 5, 1, 131), gen_random_parseval(3, 5, 1, 132)
+    # start 1 sees all-zero frames at a basis vector: no Hessian, no gradient, a singular system
+    mats = np.stack([np.stack([fa.analysis[0], fb.analysis[0]]), np.zeros((2, 5, 3))])
+    v = np.stack([unit_vector_stream(3, 1, 133, 0, 1)[0, :, 0], np.eye(3)[0].astype(complex)])
+    _f, terms = verify_search._evaluate(mats, v, 1e-12)
+    g = verify_search._gradient(mats, terms, 1e-12)
+    gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
+    eta = verify_search._newton(mats, v, g, gt, terms, 1e-12)
+    alone = verify_search._newton(mats[:1], v[:1], g[:1], gt[:1], [t[:1] for t in terms], 1e-12)
+    assert np.array_equal(eta[0], alone[0]) and np.all(np.isfinite(eta[0]))
+    assert np.all(np.isnan(eta[1]))
+
+
+def test_search_counts_newton_steps_and_sweep_entries():
+    fa, fb = gen_random_parseval(6, 10, 4, 111), gen_random_parseval(6, 10, 4, 112)
+    interior = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=2, seed=3)
+    assert interior.newton_steps > 0 and not interior.boundary_grazing
+    fra, frb = gen_fourier_pair(2, 1)
+    grazing = minimize_entropy_sum(fra, frb, "maassen_uffink", restarts=8, max_iters=500, seed=3)
+    assert grazing.sweep_entries > 0
+    doc = search_result_to_dict(interior)
+    keys = list(doc)
+    assert keys[keys.index("runs_at_max_iters") + 1:][:2] == ["newton_steps", "sweep_entries"]
+    assert (doc["newton_steps"], doc["sweep_entries"]) == (interior.newton_steps,
+                                                           interior.sweep_entries)
 
 
 def test_optimizer_never_worse_than_sampling():
