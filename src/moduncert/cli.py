@@ -77,11 +77,15 @@ def _render_value(value) -> str:
     ``trial_worst_fiber``) is encoded in one call of the C encoder, whose
     ``", "`` separators then become the indented layout's line breaks;
     numbers never contain ``", "``.  ``indent=2`` alone would take the
-    pure-Python encoder, one element at a time.  Every other value is
-    encoded with ``indent=2`` and moved one level in.
+    pure-Python encoder, one element at a time.  Scalars and empty
+    containers lay out the same without ``indent``, so they take the C
+    encoder too.  Every other value is encoded with ``indent=2`` and moved
+    one level in.
     """
     if type(value) is list and value and set(map(type, value)) <= {int, float}:
         return "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+    if not value or not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
     return json.dumps(value, indent=2).replace("\n", "\n  ")
 
 

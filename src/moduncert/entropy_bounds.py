@@ -100,11 +100,14 @@ def entropy_hessian(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: n
     inv = np.where(live, 4.0 / np.where(live, w, 1.0), 0.0)
     # sum_j coeff_j R_j^T R_j is the real form [[Re M, -Im M], [Im M, Re M]] of M = A^H diag(coeff) A
     big = np.conj(np.swapaxes(analysis, -1, -2)) @ (coeff * analysis)
-    gram = np.concatenate([np.concatenate([big.real, -big.imag], axis=-1),
-                           np.concatenate([big.imag, big.real], axis=-1)], axis=-2)
+    n = big.shape[-1]
+    hess = np.empty(big.shape[:-2] + (2 * n, 2 * n))
+    hess[..., :n, :n] = hess[..., n:, n:] = big.real
+    hess[..., n:, :n] = big.imag
+    np.negative(big.imag, out=hess[..., :n, n:])
     r = np.conj(analysis) * c                        # row j: conj(a_j) c_j, i.e. r_j packed
     r = np.concatenate([r.real, r.imag], axis=-1)    # (..., m, 2n)
-    return gram - np.swapaxes(r, -1, -2) @ (inv * r)
+    return np.subtract(hess, np.swapaxes(r, -1, -2) @ (inv * r), out=hess)
 
 
 def entropy(frame: Frame, x: ModuleVector, zero_tol: float = ZERO_TOL, *,

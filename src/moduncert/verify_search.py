@@ -334,80 +334,112 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     flat gradient, no descent found, or eight steps in a row without progress
     at floating resolution).  Each start keeps its kernel terms at its current
     point: the gradient and the Hessian come from them, and an accepted
-    Armijo trial hands over its own."""
-    v = _normalize(v)
-    f, terms = _evaluate(pair[fiber], v, zero_tol)
-    g = _gradient(pair[fiber], terms, zero_tol)
-    iters, stall, newton, sweeps = np.zeros((4, len(v)), dtype=np.int64)
-    converged, has_prev = np.zeros((2, len(v)), dtype=bool)   # has_prev: BB has a last step
+    Armijo trial hands over its own.
+
+    The state of the active starts is held compacted: a start leaves the
+    active arrays once, at the top of the iteration after it stops, and its
+    results go to its original index then.  A round in which every active
+    row takes part runs on whole arrays; only stiff rows, flat rows, partial
+    Newton tails and Armijo rounds after the first gather rows."""
+    out_v, out_f = np.empty_like(v), np.empty(len(v))
+    out_iters, out_conv = np.empty(len(v), dtype=np.int64), np.empty(len(v), dtype=bool)
+    out_counts = np.empty((len(v), 4), dtype=np.int64)
+
+    def leave(rows, iterations, stopped):
+        gone = orig[rows]
+        out_v[gone], out_f[gone], out_iters[gone], out_conv[gone] = v[rows], f[rows], iterations, stopped
+        out_counts[gone] = counts[rows]
+
+    orig, mats, v = np.arange(len(v)), pair[fiber], _normalize(v)
+    f, terms = _evaluate(mats, v, zero_tol)
+    g = _gradient(mats, terms, zero_tol)
+    counts = np.zeros((len(v), 4), dtype=np.int64)
+    stall, newton, sweeps, backs = counts.T
+    done, has_prev = np.zeros((2, len(v)), dtype=bool)      # has_prev: BB has a last step
     prev_v, prev_gt = np.zeros_like(v), np.zeros_like(v)
-    for _ in range(max_iters):
-        idx = np.flatnonzero(~converged)
-        if idx.size == 0:
-            break
-        iters[idx] += 1
-        min_w = np.min(terms[1][idx], axis=(1, 2, 3), initial=np.inf)
-        stiff, idx = idx[min_w < STIFF_TOL], idx[min_w >= STIFF_TOL]
-        if stiff.size:
-            sweeps[stiff] += 1
-            v[stiff], improved = _sweep(pair[fiber[stiff]], v[stiff], f[stiff], zero_tol)
-            has_prev[stiff], converged[stiff[~improved]] = False, True
-            up = stiff[improved]
-            f[up], new = _evaluate(pair[fiber[up]], v[up], zero_tol)
+    for it in range(max_iters):
+        if done.any():          # the starts that stopped in iteration `it` leave
+            leave(done, it, True)
+            orig, mats, v, f, g, counts, has_prev, prev_v, prev_gt, *terms = (
+                a[~done] for a in (orig, mats, v, f, g, counts, has_prev, prev_v, prev_gt, *terms))
+            stall, newton, sweeps, backs = counts.T
+            done = np.zeros(len(orig), dtype=bool)
+            if not orig.size:
+                break
+        stiff = np.min(terms[1], axis=(1, 2, 3), initial=np.inf) < STIFF_TOL
+        rows = slice(None)      # the rows that take a gradient or Newton step
+        if stiff.any():
+            st, rows = np.flatnonzero(stiff), np.flatnonzero(~stiff)
+            sweeps[st] += 1
+            v[st], improved = _sweep(mats[st], v[st], f[st], zero_tol)
+            has_prev[st], done[st[~improved]] = False, True
+            up = st[improved]
+            f[up], new = _evaluate(mats[up], v[up], zero_tol)
             for store, t in zip(terms, new):
                 store[up] = t
-            g[up] = _gradient(pair[fiber[up]], new, zero_tol)
-            if idx.size == 0:
+            g[up] = _gradient(mats[up], new, zero_tol)
+            if not rows.size:
                 continue
-        vi = v[idx]
-        gt = project_tangent(g[idx, :, np.newaxis], vi[:, :, np.newaxis])[:, :, 0]
-        gsq = _re_inner(gt, gt)
-        flat = np.sqrt(gsq) <= grad_tol
-        converged[idx[flat]] = True
-        idx, vi, gt, gsq = idx[~flat], vi[~flat], gt[~flat], gsq[~flat]
+        vr = v[rows]
+        gt = project_tangent(g[rows][:, :, np.newaxis], vr[:, :, np.newaxis])[:, :, 0]
+        s, y = vr - prev_v[rows], gt - prev_gt[rows]
+        gsq, ss, sy = _re_inner(np.stack([gt, s, s]), np.stack([gt, s, y]))
+        gnorm = np.sqrt(gsq)
+        flat = gnorm <= grad_tol
+        if flat.any():
+            done[rows] |= flat
+            rows = np.arange(len(orig))[rows][~flat]
+            if not rows.size:
+                continue
+            vr, gt, gsq, ss, sy, gnorm = (a[~flat] for a in (vr, gt, gsq, ss, sy, gnorm))
         # Barzilai-Borwein trial step <s,s>/Re<s,y>, or 1 with no usable last step
-        s, y = vi - prev_v[idx], gt - prev_gt[idx]
-        sy = _re_inner(s, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            bb = np.clip(_re_inner(s, s) / sy, 1e-8, 1e8)
-        alpha = np.where(has_prev[idx] & (sy > 0), bb, 1.0)
-        prev_v[idx], prev_gt[idx] = vi, gt
+        alpha = np.clip(np.divide(ss, sy, out=np.ones_like(ss), where=has_prev[rows] & (sy > 0)),
+                        1e-8, 1e8)
+        prev_v[rows], prev_gt[rows] = vr, gt
         # direction d and slope Re<gt, d>: the gradient's, or in the quadratic
         # tail the Newton direction's where it passes the angle test, from step 1
-        mats, d, slope = pair[fiber[idx]], -gt, -gsq
-        use_newton = np.zeros(idx.size, dtype=bool)
-        tail = np.flatnonzero(np.sqrt(gsq) <= NEWTON_TOL)
-        if tail.size:
-            eta = _newton(mats[tail], vi[tail], g[idx[tail]], gt[tail],
-                          [t[idx[tail]] for t in terms], zero_tol)
-            eg = _re_inner(gt[tail], eta)
-            keep = eg <= -1e-6 * np.sqrt(gsq[tail] * _re_inner(eta, eta))
-            tail, eta, eg = tail[keep], eta[keep], eg[keep]
-            d[tail], slope[tail], alpha[tail], use_newton[tail] = eta, eg, 1.0, True
-        # Armijo backtracking per start; a round evaluates the starts still pending
-        u_new, f_new = np.empty_like(vi), np.empty_like(gsq)
-        accepted, pending = np.zeros(idx.size, dtype=bool), np.arange(idx.size)
-        for _ in range(60):
-            u = _normalize(vi[pending] + alpha[pending, np.newaxis] * d[pending])
-            fu, new = _evaluate(mats[pending], u, zero_tol)
-            ok = fu <= f[idx[pending]] + 1e-4 * alpha[pending] * slope[pending]
-            done = pending[ok]
-            u_new[done], f_new[done], accepted[done] = u[ok], fu[ok], True
-            for store, t in zip(terms, new):
-                store[idx[done]] = t[ok]
-            pending = pending[~ok]
-            if pending.size == 0:
-                break
-            alpha[pending] *= 0.5
-        converged[idx[~accepted]] = True
-        newton[idx[accepted & use_newton]] += 1
-        idx, f_prev = idx[accepted], f[idx[accepted]]
-        v[idx], f[idx], has_prev[idx] = u_new[accepted], f_new[accepted], True
-        g[idx] = _gradient(pair[fiber[idx]], [t[idx] for t in terms], zero_tol)
-        slow = f_prev - f[idx] <= 1e-13 * np.maximum(1.0, np.abs(f[idx]))
-        stall[idx] = np.where(slow, stall[idx] + 1, 0)
-        converged[idx[stall[idx] >= 8]] = True
-    return v, f, iters, converged, newton, sweeps
+        mats_r, fr, d, slope = mats[rows], f[rows], -gt, -gsq
+        use_newton = gnorm <= NEWTON_TOL
+        if use_newton.any():
+            t = slice(None) if use_newton.all() else np.flatnonzero(use_newton)
+            eta = _newton(mats_r[t], vr[t], g[rows][t], gt[t], [x[rows][t] for x in terms],
+                          zero_tol)
+            eg, ee = _re_inner(np.stack([gt[t], eta]), np.stack([eta, eta]))
+            use_newton[t] = ok = eg <= -1e-6 * np.sqrt(gsq[t] * ee)
+            d[use_newton], slope[use_newton], alpha[use_newton] = eta[ok], eg[ok], 1.0
+        # Armijo backtracking per start: the first trial on every row at once,
+        # then halvings on the rows still pending
+        u = _normalize(vr + alpha[:, np.newaxis] * d)
+        fu, new = _evaluate(mats_r, u, zero_tol)
+        ok = fu <= fr + 1e-4 * alpha * slope
+        if not ok.all():
+            pending, halvings = np.flatnonzero(~ok), np.zeros(len(ok), dtype=np.int64)
+            for _ in range(59):
+                alpha[pending] *= 0.5
+                halvings[pending] += 1
+                up = _normalize(vr[pending] + alpha[pending, np.newaxis] * d[pending])
+                fp, newp = _evaluate(mats_r[pending], up, zero_tol)
+                okp = fp <= fr[pending] + 1e-4 * alpha[pending] * slope[pending]
+                acc = pending[okp]
+                u[acc], fu[acc], ok[acc] = up[okp], fp[okp], True
+                for store, x in zip(new, newp):
+                    store[acc] = x[okp]
+                pending = pending[~okp]
+                if not pending.size:
+                    break
+            backs[rows] += halvings
+            u[pending], fu[pending] = vr[pending], fr[pending]    # no descent: these stop here
+            done[rows] |= ~ok
+        slow = fr - fu <= 1e-13 * np.maximum(1.0, np.abs(fu))
+        v[rows], f[rows], has_prev[rows] = u, fu, True
+        for store, x in zip(terms, new):
+            store[rows] = x
+        g[rows] = _gradient(mats_r, new, zero_tol)
+        newton[rows] += use_newton & ok
+        stall[rows] = np.where(slow, stall[rows] + 1, 0)
+        done[rows] |= stall[rows] >= 8
+    leave(slice(None), max_iters, done)
+    return out_v, out_f, out_iters, out_conv, out_counts[:, 1], out_counts[:, 2]
 
 
 def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
