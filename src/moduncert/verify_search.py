@@ -270,27 +270,29 @@ def _gradient(mats, terms, zero_tol):
 def _newton(mats, v, g, gt, terms, zero_tol):
     """Riemannian Newton directions (batch, n) at the unit rows v, from the
     gradients g, tangent gradients gt and kernel terms there.  The entropy sum
-    is constant along i*v, so the system is solved on the horizontal space
-    orthogonal to v and i*v: P (H - Re<v, g> I) P + v v^T + (iv)(iv)^T, in
-    [Re, Im] coordinates.  A start whose system is exactly singular gets NaN."""
+    is constant along i*v, so the Newton equation (H - Re<v, g> I) eta = -gt
+    is solved on the horizontal space orthogonal to v and i*v, as the bordered
+    system [[H - Re<v, g> I, X], [X^T, 0]] [eta; mu] = [-gt; 0] with
+    X = [v, iv] in [Re, Im] coordinates.  A start whose system is exactly
+    singular gets NaN."""
+    b, n = v.shape
     hess = entropy_hessian(mats, *terms, zero_tol)
-    hess = hess[:, 0] + hess[:, 1]
-    eye = np.eye(hess.shape[-1])
-    x = np.concatenate([v.real, v.imag], axis=-1)[:, :, np.newaxis]
-    ix = np.concatenate([-v.imag, v.real], axis=-1)[:, :, np.newaxis]
-    normal = x @ np.swapaxes(x, 1, 2) + ix @ np.swapaxes(ix, 1, 2)
-    shifted = hess - _re_inner(v, g)[:, np.newaxis, np.newaxis] * eye
-    system = (eye - normal) @ shifted @ (eye - normal) + normal
-    rhs = -np.concatenate([gt.real, gt.imag], axis=-1)[:, :, np.newaxis]
+    system = np.zeros((b, 2 * n + 2, 2 * n + 2))
+    np.add(hess[:, 0], hess[:, 1], out=system[:, :2 * n, :2 * n])
+    system.reshape(b, -1)[:, :2 * n * (2 * n + 3):2 * n + 3] -= _re_inner(v, g)[:, np.newaxis]
+    frame = v[:, :, np.newaxis] * np.array([1, 1j])             # the columns v and iv
+    system[:, :2 * n, 2 * n:] = np.concatenate([frame.real, frame.imag], axis=1)
+    system[:, 2 * n:, :2 * n] = np.swapaxes(system[:, :2 * n, 2 * n:], 1, 2)
+    rhs = np.zeros((b, 2 * n + 2, 1))
+    rhs[:, :n, 0], rhs[:, n:2 * n, 0] = -gt.real, -gt.imag
     try:
         eta = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:       # solve start by start, so the others keep theirs
         eta = np.full_like(rhs, np.nan)
-        for k in range(len(rhs)):
+        for k in range(b):
             with contextlib.suppress(np.linalg.LinAlgError):
                 eta[k] = np.linalg.solve(system[k], rhs[k])
-    n = v.shape[1]
-    return eta[:, :n, 0] + 1j * eta[:, n:, 0]
+    return eta[:, :n, 0] + 1j * eta[:, n:2 * n, 0]
 
 
 def _sweep(mats, v, f, zero_tol):
