@@ -273,26 +273,29 @@ def _newton(mats, v, g, gt, terms, zero_tol):
     is constant along i*v, so the Newton equation (H - Re<v, g> I) eta = -gt
     is solved on the horizontal space orthogonal to v and i*v, as the bordered
     system [[H - Re<v, g> I, X], [X^T, 0]] [eta; mu] = [-gt; 0] with
-    X = [v, iv] in [Re, Im] coordinates.  A start whose system is exactly
-    singular gets NaN."""
+    X = [v, iv] in [Re, Im] coordinates.  H is the Hessian of the sum, from
+    both frames' rows at once.  A start whose system is exactly singular gets
+    NaN."""
     b, n = v.shape
-    hess = entropy_hessian(mats, *terms, zero_tol)
-    system = np.zeros((b, 2 * n + 2, 2 * n + 2))
-    np.add(hess[:, 0], hess[:, 1], out=system[:, :2 * n, :2 * n])
-    system.reshape(b, -1)[:, :2 * n * (2 * n + 3):2 * n + 3] -= _re_inner(v, g)[:, np.newaxis]
-    frame = v[:, :, np.newaxis] * np.array([1, 1j])             # the columns v and iv
-    system[:, :2 * n, 2 * n:] = np.concatenate([frame.real, frame.imag], axis=1)
-    system[:, 2 * n:, :2 * n] = np.swapaxes(system[:, :2 * n, 2 * n:], 1, 2)
-    rhs = np.zeros((b, 2 * n + 2, 1))
-    rhs[:, :n, 0], rhs[:, n:2 * n, 0] = -gt.real, -gt.imag
+    k = 2 * n
+    system = np.zeros((b, k + 2, k + 2))
+    system[:, :k, :k] = entropy_hessian(mats.reshape(b, -1, n),
+                                        *(t.reshape(b, -1, 1) for t in terms), zero_tol)
+    system.reshape(b, -1)[:, :k * (k + 3):k + 3] -= _re_inner(v, g)[:, np.newaxis]
+    # the border X = [x, ix]: x = [Re v, Im v] and ix = [-Im v, Re v]
+    system[:, :n, k] = system[:, n:k, k + 1] = system[:, k, :n] = system[:, k + 1, n:k] = v.real
+    system[:, n:k, k] = system[:, k, n:k] = v.imag
+    system[:, :n, k + 1] = system[:, k + 1, :n] = -v.imag
+    rhs = np.zeros((b, k + 2, 1))
+    rhs[:, :n, 0], rhs[:, n:k, 0] = -gt.real, -gt.imag
     try:
         eta = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:       # solve start by start, so the others keep theirs
         eta = np.full_like(rhs, np.nan)
-        for k in range(b):
+        for j in range(b):
             with contextlib.suppress(np.linalg.LinAlgError):
-                eta[k] = np.linalg.solve(system[k], rhs[k])
-    return eta[:, :n, 0] + 1j * eta[:, n:2 * n, 0]
+                eta[j] = np.linalg.solve(system[j], rhs[j])
+    return eta[:, :n, 0] + 1j * eta[:, n:k, 0]
 
 
 def _sweep(mats, v, f, zero_tol):
@@ -385,7 +388,7 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         vr = v[rows]
         gt = project_tangent(g[rows][:, :, np.newaxis], vr[:, :, np.newaxis])[:, :, 0]
         s, y = vr - prev_v[rows], gt - prev_gt[rows]
-        gsq, ss, sy = _re_inner(np.stack([gt, s, s]), np.stack([gt, s, y]))
+        gsq, ss, sy = _re_inner(np.array([gt, s, s]), np.array([gt, s, y]))
         gnorm = np.sqrt(gsq)
         flat = gnorm <= grad_tol
         if flat.any():
@@ -400,37 +403,40 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         prev_v[rows], prev_gt[rows] = vr, gt
         # direction d and slope Re<gt, d>: the gradient's, or in the quadratic
         # tail the Newton direction's where it passes the angle test, from step 1
+        # (once a row is in the tail, every row gets a direction, which is cheaper
+        # than gathering the tail rows; the others do not use theirs)
         mats_r, fr, d, slope = mats[rows], f[rows], -gt, -gsq
         use_newton = gnorm <= NEWTON_TOL
         if use_newton.any():
-            t = slice(None) if use_newton.all() else np.flatnonzero(use_newton)
-            eta = _newton(mats_r[t], vr[t], g[rows][t], gt[t], [x[rows][t] for x in terms],
-                          zero_tol)
-            eg, ee = _re_inner(np.stack([gt[t], eta]), np.stack([eta, eta]))
-            use_newton[t] = ok = eg <= -1e-6 * np.sqrt(gsq[t] * ee)
-            d[use_newton], slope[use_newton], alpha[use_newton] = eta[ok], eg[ok], 1.0
+            eta = _newton(mats_r, vr, g[rows], gt, [x[rows] for x in terms], zero_tol)
+            eg, ee = _re_inner(np.array([gt, eta]), np.array([eta, eta]))
+            use_newton &= eg <= -1e-6 * np.sqrt(gsq * ee)
+            d[use_newton], slope[use_newton], alpha[use_newton] = eta[use_newton], eg[use_newton], 1.0
         # Armijo backtracking per start: the first trial on every row at once,
         # then halvings on the rows still pending
         u = _normalize(vr + alpha[:, np.newaxis] * d)
         fu, new = _evaluate(mats_r, u, zero_tol)
         ok = fu <= fr + 1e-4 * alpha * slope
         if not ok.all():
-            pending, halvings = np.flatnonzero(~ok), np.zeros(len(ok), dtype=np.int64)
-            for _ in range(59):
-                alpha[pending] *= 0.5
-                halvings[pending] += 1
-                up = _normalize(vr[pending] + alpha[pending, np.newaxis] * d[pending])
-                fp, newp = _evaluate(mats_r[pending], up, zero_tol)
-                okp = fp <= fr[pending] + 1e-4 * alpha[pending] * slope[pending]
-                acc = pending[okp]
-                u[acc], fu[acc], ok[acc] = up[okp], fp[okp], True
-                for store, x in zip(new, newp):
-                    store[acc] = x[okp]
-                pending = pending[~okp]
-                if not pending.size:
-                    break
+            pending = np.flatnonzero(~ok)
+            halvings = np.where(ok, 0, 59)
+            pv, pd, pa, pf, ps, pm = (a[pending] for a in (vr, d, alpha, fr, slope, mats_r))
+            for halved in range(1, 60):
+                pa = pa * 0.5
+                up = _normalize(pv + pa[:, np.newaxis] * pd)
+                fp, newp = _evaluate(pm, up, zero_tol)
+                okp = fp <= pf + 1e-4 * pa * ps
+                if okp.any():
+                    acc = pending[okp]
+                    u[acc], fu[acc], ok[acc], halvings[acc] = up[okp], fp[okp], True, halved
+                    for store, x in zip(new, newp):
+                        store[acc] = x[okp]
+                    if okp.all():
+                        break
+                    pending, pv, pd, pa, pf, ps, pm = (
+                        a[~okp] for a in (pending, pv, pd, pa, pf, ps, pm))
             backs[rows] += halvings
-            u[pending], fu[pending] = vr[pending], fr[pending]    # no descent: these stop here
+            u[~ok], fu[~ok] = vr[~ok], fr[~ok]      # no descent: these stop here
             done[rows] |= ~ok
         slow = fr - fu <= 1e-13 * np.maximum(1.0, np.abs(fu))
         v[rows], f[rows], has_prev[rows] = u, fu, True
