@@ -236,7 +236,7 @@ def _cmd_campaign(args) -> int:
                "best_gap": result.best_gap, "boundary_grazing": result.boundary_grazing,
                "converged": result.converged, "runs_at_max_iters": result.runs_at_max_iters,
                "newton_steps": result.newton_steps, "sweep_entries": result.sweep_entries,
-               "candidate": candidate}
+               "line_search_backtracks": result.line_search_backtracks, "candidate": candidate}
         if candidate:
             rec["witness"] = search_result_to_dict(result)
             candidates.append(spec["pair"])

@@ -115,8 +115,9 @@ class SearchResult:
     ``best_gap`` is recomputed from scratch at report time from the
     assembled ``best_x``; ``boundary_grazing`` marks minima sitting
     within zero_tol of a vanished coefficient.  ``newton_steps`` counts the
-    accepted Newton steps and ``sweep_entries`` the start-iterations spent
-    in the stiff sweep, both summed over every (fiber, restart) run.
+    accepted Newton steps, ``sweep_entries`` the start-iterations spent in
+    the stiff sweep and ``line_search_backtracks`` the Armijo step halvings,
+    each summed over every (fiber, restart) run.
     """
 
     best_x: ModuleVector
@@ -130,6 +131,7 @@ class SearchResult:
     runs_at_max_iters: int
     newton_steps: int
     sweep_entries: int
+    line_search_backtracks: int
     converged: bool
     boundary_grazing: bool
     seed: int
@@ -335,7 +337,7 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     """Riemannian descent on the unit sphere of C^n from every row of v at
     once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
     Returns, per start, (v, f, iterations, converged, Newton steps, sweep
-    entries); converged means a stop other than running out of iterations (a
+    entries, Armijo halvings); converged means a stop other than running out of iterations (a
     flat gradient, no descent found, or eight steps in a row without progress
     at floating resolution).  Each start keeps its kernel terms at its current
     point: the gradient and the Hessian come from them, and an accepted
@@ -447,7 +449,7 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         stall[rows] = np.where(slow, stall[rows] + 1, 0)
         done[rows] |= stall[rows] >= 8
     leave(slice(None), max_iters, done)
-    return out_v, out_f, out_iters, out_conv, out_counts[:, 1], out_counts[:, 2]
+    return out_v, out_f, out_iters, out_conv, *out_counts.T[1:]
 
 
 def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
@@ -476,8 +478,8 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     starts = np.stack([random_unit_vector(n, 1, seed ^ unit).entries[:, 0]
                        for unit in range(d * restarts)])
     pair = np.stack([frame_a.analysis, frame_b.analysis], axis=1)      # (d, 2, m, n)
-    v, f, iters, conv, newton, sweeps = _descend(pair, np.repeat(np.arange(d), restarts),
-                                                 starts, max_iters, zero_tol, grad_tol)
+    v, f, iters, conv, newton, sweeps, backtracks = _descend(
+        pair, np.repeat(np.arange(d), restarts), starts, max_iters, zero_tol, grad_tol)
     best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)
     best_x = ModuleVector(np.ascontiguousarray(v[best].T))
     best_gap, grazing = recompute_gap(frame_a, frame_b, best_x, bound_kind, zero_tol)
@@ -494,6 +496,7 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         runs_at_max_iters=int(np.count_nonzero(~conv)),
         newton_steps=int(newton.sum()),
         sweep_entries=int(sweeps.sum()),
+        line_search_backtracks=int(backtracks.sum()),
         converged=bool(conv[best].all()),
         boundary_grazing=grazing,
         seed=seed,
@@ -591,6 +594,7 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "runs_at_max_iters": result.runs_at_max_iters,
         "newton_steps": result.newton_steps,
         "sweep_entries": result.sweep_entries,
+        "line_search_backtracks": result.line_search_backtracks,
         "converged": result.converged,
         "boundary_grazing": result.boundary_grazing,
         "best_gap": result.best_gap,

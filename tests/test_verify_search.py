@@ -24,7 +24,7 @@ from moduncert import (
     verify,
 )
 from moduncert import verify_search
-from moduncert.entropy_bounds import project_tangent
+from moduncert.entropy_bounds import entropy_hessian, project_tangent
 from moduncert.verify_search import (
     bound_value_for,
     canonical_json,
@@ -249,12 +249,66 @@ def test_descent_start_is_independent_of_its_batch():
         row = pair[fiber[b], 0, 0]
         v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
     batch = verify_search._descend(pair, fiber, v, 2000, 1e-12, 1e-8)
-    newton, sweeps = batch[4:]
+    newton, sweeps = batch[4:6]
     assert sweeps[[0, 3, 6]].all() and newton[sweeps == 0].all()
     for b in range(8):
         alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], 2000, 1e-12, 1e-8)
         for got, want in zip(alone[:3], batch[:3]):      # v, f and iterations
             assert np.array_equal(got[0], want[b])
+
+
+@pytest.mark.parametrize("max_iters", [2000, 12])
+def test_descent_results_leave_at_each_start_s_own_index(max_iters):
+    # the starts leave the compacted active set at different iterations: start 0 is
+    # already flat (a converged start fed back in), 1, 4 and 7 are stiff, the rest take
+    # Newton steps, and with max_iters=12 some run out of iterations
+    fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
+    pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
+    fiber = np.arange(10) % 2
+    v = unit_vector_stream(3, 1, 141, 0, 10)[:, :, 0]
+    for b in (1, 4, 7):      # a vanished weight of the first frame: these starts are stiff
+        row = pair[fiber[b], 0, 0]
+        v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
+    v[0] = verify_search._descend(pair, fiber[:1], v[:1], 2000, 1e-12, 1e-8)[0][0]
+    batch = verify_search._descend(pair, fiber, v, max_iters, 1e-12, 1e-8)
+    iters, conv, newton, sweeps = batch[2:6]
+    assert iters[0] == 1 and conv[0]
+    assert sweeps[[1, 4, 7]].all() and newton.any() and len(set(iters)) >= 3
+    if max_iters == 12:
+        assert not conv.all() and conv[iters == 12].any()    # capped, and stopped at the cap
+    for b in range(10):
+        alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], max_iters, 1e-12, 1e-8)
+        assert len(alone) == len(batch) == 7
+        for got, want in zip(alone, batch):     # v, f, iterations, converged, and the counters
+            assert np.array_equal(got[0], want[b])
+
+
+def test_newton_direction_is_horizontal_and_solves_the_projected_system():
+    rng = np.random.default_rng(151)
+    for k in range(60):
+        d, n = 1 + k % 3, int(rng.integers(2, 7))
+        m = int(rng.integers(n, 11))
+        fa, fb = gen_random_parseval(n, m, d, 1500 + k), gen_random_parseval(n, m, d, 2500 + k)
+        mats = np.stack([fa.analysis, fb.analysis], axis=1)     # one start per fiber
+        v = unit_vector_stream(n, d, 160 + k, 0, 1)[0].T
+        _f, terms = verify_search._evaluate(mats, v, 1e-12)
+        g = verify_search._gradient(mats, terms, 1e-12)
+        gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
+        eta = verify_search._newton(mats, v, g, gt, terms, 1e-12)
+        size = np.linalg.norm(eta, axis=1)
+        for normal in (v, 1j * v):
+            assert np.all(np.abs((normal.conj() * eta).sum(axis=1).real) <= 1e-12 * size)
+        # reference: P (H - Re<x,g> I) P + x x^T + (ix)(ix)^T in [Re, Im] coordinates
+        hess = sum(entropy_hessian(mats[:, j], *(t[:, j] for t in terms), 1e-12) for j in (0, 1))
+        x = np.concatenate([v.real, v.imag], axis=1)[:, :, np.newaxis]
+        ix = np.concatenate([-v.imag, v.real], axis=1)[:, :, np.newaxis]
+        normal = x @ np.swapaxes(x, 1, 2) + ix @ np.swapaxes(ix, 1, 2)
+        proj, eye = np.eye(2 * n) - normal, np.eye(2 * n)
+        lam = (v.conj() * g).sum(axis=1).real[:, np.newaxis, np.newaxis]
+        ref = np.linalg.solve(proj @ (hess - lam * eye) @ proj + normal,
+                              -np.concatenate([gt.real, gt.imag], axis=1)[:, :, np.newaxis])
+        ref = ref[:, :n, 0] + 1j * ref[:, n:, 0]
+        assert np.all(np.linalg.norm(eta - ref, axis=1) <= 1e-10 * np.linalg.norm(ref, axis=1))
 
 
 def test_newton_direction_survives_a_singular_system():
@@ -283,6 +337,16 @@ def test_search_counts_newton_steps_and_sweep_entries():
     assert keys[keys.index("runs_at_max_iters") + 1:][:2] == ["newton_steps", "sweep_entries"]
     assert (doc["newton_steps"], doc["sweep_entries"]) == (interior.newton_steps,
                                                            interior.sweep_entries)
+
+
+def test_search_counts_line_search_backtracks():
+    fa, fb = gen_random_parseval(6, 10, 4, 111), gen_random_parseval(6, 10, 4, 112)
+    res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=2, seed=3)
+    assert res.line_search_backtracks > 0 and not res.boundary_grazing
+    doc = search_result_to_dict(res)
+    keys = list(doc)
+    assert keys[keys.index("sweep_entries") + 1] == "line_search_backtracks"
+    assert doc["line_search_backtracks"] == res.line_search_backtracks
 
 
 def test_optimizer_never_worse_than_sampling():
