@@ -16,11 +16,15 @@ tangent gradient is at most ``NEWTON_TOL`` it is polished by Riemannian
 Newton steps (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
 Manifolds, 2008, ch. 6), which converge quadratically where gradient steps
 crawl: the Newton direction, from the Hessian ``entropy_hessian``, is
-solved on the horizontal space orthogonal to x and i*x, taken only when it
-is a descent direction by the angle test, and backtracked by Armijo from
-step 1; otherwise the start keeps its gradient step.  Entropies use
-the 0*ln(0) extension so boundary infima -- where the sharper bound is
-attained -- are reachable.
+solved on the horizontal space orthogonal to x and i*x as one bordered
+(KKT) system (Nocedal & Wright, Numerical Optimization, 2006, sec. 16.1),
+taken only when it is a descent direction by the angle test, and
+backtracked by Armijo from step 1; otherwise the start keeps its gradient
+step.  The batch holds the state of the starts still running, compacted:
+a start leaves once, when it stops, and its results go to its own index,
+so a round in which every running start takes part needs no gathers.
+Entropies use the 0*ln(0) extension so boundary infima -- where the
+sharper bound is attained -- are reachable.
 
 Determinism contract: every unit of work with user seed S draws the same
 vector under any execution schedule, and any single unit can be replayed
@@ -288,8 +292,7 @@ def _newton(mats, v, g, gt, terms, zero_tol):
     system[:, :n, k] = system[:, n:k, k + 1] = system[:, k, :n] = system[:, k + 1, n:k] = v.real
     system[:, n:k, k] = system[:, k, n:k] = v.imag
     system[:, :n, k + 1] = system[:, k + 1, :n] = -v.imag
-    rhs = np.zeros((b, k + 2, 1))
-    rhs[:, :n, 0], rhs[:, n:k, 0] = -gt.real, -gt.imag
+    rhs = np.concatenate([-gt.real, -gt.imag, np.zeros((b, 2))], axis=1)[:, :, np.newaxis]
     try:
         eta = np.linalg.solve(system, rhs)
     except np.linalg.LinAlgError:       # solve start by start, so the others keep theirs
@@ -337,25 +340,25 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     """Riemannian descent on the unit sphere of C^n from every row of v at
     once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
     Returns, per start, (v, f, iterations, converged, Newton steps, sweep
-    entries, Armijo halvings); converged means a stop other than running out of iterations (a
-    flat gradient, no descent found, or eight steps in a row without progress
-    at floating resolution).  Each start keeps its kernel terms at its current
-    point: the gradient and the Hessian come from them, and an accepted
-    Armijo trial hands over its own.
+    entries, Armijo halvings); converged means a stop other than running out
+    of iterations (a flat gradient, no descent found, or eight steps in a row
+    without progress at floating resolution).  Each start keeps its kernel
+    terms at its current point: the gradient and the Hessian come from them,
+    and an accepted Armijo trial hands over its own.
 
     The state of the active starts is held compacted: a start leaves the
     active arrays once, at the top of the iteration after it stops, and its
     results go to its original index then.  A round in which every active
-    row takes part runs on whole arrays; only stiff rows, flat rows, partial
-    Newton tails and Armijo rounds after the first gather rows."""
+    row takes part runs on whole arrays; only stiff rows, flat rows and
+    Armijo rounds after the first gather rows."""
     out_v, out_f = np.empty_like(v), np.empty(len(v))
     out_iters, out_conv = np.empty(len(v), dtype=np.int64), np.empty(len(v), dtype=bool)
     out_counts = np.empty((len(v), 4), dtype=np.int64)
 
     def leave(rows, iterations, stopped):
         gone = orig[rows]
-        out_v[gone], out_f[gone], out_iters[gone], out_conv[gone] = v[rows], f[rows], iterations, stopped
-        out_counts[gone] = counts[rows]
+        out_v[gone], out_f[gone], out_counts[gone] = v[rows], f[rows], counts[rows]
+        out_iters[gone], out_conv[gone] = iterations, stopped
 
     orig, mats, v = np.arange(len(v)), pair[fiber], _normalize(v)
     f, terms = _evaluate(mats, v, zero_tol)
@@ -413,15 +416,15 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
             eta = _newton(mats_r, vr, g[rows], gt, [x[rows] for x in terms], zero_tol)
             eg, ee = _re_inner(np.array([gt, eta]), np.array([eta, eta]))
             use_newton &= eg <= -1e-6 * np.sqrt(gsq * ee)
-            d[use_newton], slope[use_newton], alpha[use_newton] = eta[use_newton], eg[use_newton], 1.0
+            d[use_newton], slope[use_newton] = eta[use_newton], eg[use_newton]
+            alpha[use_newton] = 1.0
         # Armijo backtracking per start: the first trial on every row at once,
         # then halvings on the rows still pending
         u = _normalize(vr + alpha[:, np.newaxis] * d)
         fu, new = _evaluate(mats_r, u, zero_tol)
         ok = fu <= fr + 1e-4 * alpha * slope
         if not ok.all():
-            pending = np.flatnonzero(~ok)
-            halvings = np.where(ok, 0, 59)
+            pending, halvings = np.flatnonzero(~ok), np.where(ok, 0, 59)
             pv, pd, pa, pf, ps, pm = (a[pending] for a in (vr, d, alpha, fr, slope, mats_r))
             for halved in range(1, 60):
                 pa = pa * 0.5
