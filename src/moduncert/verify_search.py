@@ -349,8 +349,8 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     The state of the active starts is held compacted: a start leaves the
     active arrays once, at the top of the iteration after it stops, and its
     results go to its original index then.  A round in which every active
-    row takes part runs on whole arrays; only stiff rows, flat rows and
-    Armijo rounds after the first gather rows."""
+    row takes part runs on whole arrays; only stiff rows, flat rows, partial
+    Newton tails and Armijo rounds after the first gather rows."""
     out_v, out_f = np.empty_like(v), np.empty(len(v))
     out_iters, out_conv = np.empty(len(v), dtype=np.int64), np.empty(len(v), dtype=bool)
     out_counts = np.empty((len(v), 4), dtype=np.int64)
@@ -408,16 +408,15 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         prev_v[rows], prev_gt[rows] = vr, gt
         # direction d and slope Re<gt, d>: the gradient's, or in the quadratic
         # tail the Newton direction's where it passes the angle test, from step 1
-        # (once a row is in the tail, every row gets a direction, which is cheaper
-        # than gathering the tail rows; the others do not use theirs)
         mats_r, fr, d, slope = mats[rows], f[rows], -gt, -gsq
         use_newton = gnorm <= NEWTON_TOL
         if use_newton.any():
-            eta = _newton(mats_r, vr, g[rows], gt, [x[rows] for x in terms], zero_tol)
-            eg, ee = _re_inner(np.array([gt, eta]), np.array([eta, eta]))
-            use_newton &= eg <= -1e-6 * np.sqrt(gsq * ee)
-            d[use_newton], slope[use_newton] = eta[use_newton], eg[use_newton]
-            alpha[use_newton] = 1.0
+            t = slice(None) if use_newton.all() else np.flatnonzero(use_newton)
+            eta = _newton(mats_r[t], vr[t], g[rows][t], gt[t], [x[rows][t] for x in terms],
+                          zero_tol)
+            eg, ee = _re_inner(np.array([gt[t], eta]), np.array([eta, eta]))
+            use_newton[t] = ok = eg <= -1e-6 * np.sqrt(gsq[t] * ee)
+            d[use_newton], slope[use_newton], alpha[use_newton] = eta[ok], eg[ok], 1.0
         # Armijo backtracking per start: the first trial on every row at once,
         # then halvings on the rows still pending
         u = _normalize(vr + alpha[:, np.newaxis] * d)
