@@ -28,13 +28,14 @@ from .module_space import ModuleVector, random_unit_vector
 from .verify_search import (
     SEARCH_GAP_TOL,
     VERIFY_GAP_TOL,
+    NumberTexts,
     campaign,
     is_counterexample_candidate,
     minimize_entropy_sum,
     proof_chain_check,
-    report_to_csv,
     report_to_dict,
     search_result_to_dict,
+    trials_to_csv,
     verify,
 )
 
@@ -74,16 +75,18 @@ def _render_value(value) -> str:
     """One top-level value of a report, as ``json.dumps(doc, indent=2)`` lays it out.
 
     A non-empty flat list of ints and floats (``trial_gaps``,
-    ``trial_worst_fiber``) is encoded in one call of the C encoder, whose
-    ``", "`` separators then become the indented layout's line breaks;
-    numbers never contain ``", "``.  ``indent=2`` alone would take the
-    pure-Python encoder, one element at a time.  Scalars and empty
-    containers lay out the same without ``indent``, so they take the C
-    encoder too.  Every other value is encoded with ``indent=2`` and moved
-    one level in.
+    ``trial_worst_fiber``) is encoded as ``NumberTexts``, one call of the
+    C encoder, and its texts are laid out one per indented line;
+    ``indent=2`` alone would take the pure-Python encoder, one element at
+    a time.  ``NumberTexts`` that a caller encoded already, to share them,
+    are laid out the same way.  Scalars and empty containers lay out the
+    same without ``indent``, so they take the C encoder too.  Every other
+    value is encoded with ``indent=2`` and moved one level in.
     """
     if type(value) is list and value and set(map(type, value)) <= {int, float}:
-        return "[\n    " + json.dumps(value)[1:-1].replace(", ", ",\n    ") + "\n  ]"
+        value = NumberTexts(value)
+    if type(value) is NumberTexts and value:
+        return "[\n    " + ",\n    ".join(value) + "\n  ]"
     if not value or not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     return json.dumps(value, indent=2).replace("\n", "\n  ")
@@ -193,12 +196,15 @@ def _cmd_verify(args) -> int:
     frame_b = _load_frame(args.frame_b, require_parseval=True)
     report = verify(frame_a, frame_b, _BOUND_ALIASES[args.bound], args.trials, args.seed,
                     args.gap_tol, args.zero_tol)
+    body = report_to_dict(report)
+    for key in ("trial_gaps", "trial_worst_fiber"):     # encoded once, for report and CSV
+        body[key] = NumberTexts(body[key])
     if args.out is not None:
-        _write_json(_resolve(args.out), "verify", report_to_dict(report))
+        _write_json(_resolve(args.out), "verify", body)
     if args.csv is not None:
         path = _resolve(args.csv)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(report_to_csv(report), newline="")
+        path.write_text(trials_to_csv(body["trial_gaps"], body["trial_worst_fiber"]), newline="")
     verdict = "OK" if not report.violations else f"{len(report.violations)} VIOLATIONS"
     print(f"verify: bound={report.bound_value:.6f} ({report.bound_kind}, mu={report.mu:.6f})"
           f" trials={report.trials} min_gap={report.min_gap:.6f} -> {verdict}")

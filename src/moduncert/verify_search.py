@@ -80,6 +80,8 @@ STIFF_TOL = 1e-6           # weights below this make the log-gradient stiff
 _SWEEP_PROBE = 1e-2        # first probe step of the stiff coordinate sweep
 GRAD_TOL = 1e-8            # tangent gradient norm stopping threshold
 NEWTON_TOL = 0.1           # tangent gradient norm at or below which Newton steps are tried
+# JSON's spellings of the non-finite floats, and repr's, which the CSV uses
+_CSV_SPELLING = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
 # A vectorized batch holds at most _VERIFY_CHUNK trials and at most
 # _VERIFY_CHUNK_COEFFS coefficients per frame, so that the batch temporaries
@@ -146,6 +148,15 @@ class SearchResult:
 def canonical_json(obj) -> bytes:
     """Stable byte encoding used for content digests."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode()
+
+
+class NumberTexts(list):
+    """The JSON number texts of a flat list of ints and floats, from one call
+    of the C encoder; no number text holds its ", " separators.
+    ``cli.render_report`` lays them out as it lays out the list itself."""
+
+    def __init__(self, values):
+        super().__init__(json.dumps(values)[1:-1].split(", ") if values else ())
 
 
 def frames_digest(frame_a: Frame, frame_b: Frame) -> str:
@@ -572,12 +583,18 @@ def report_to_dict(report: VerificationReport) -> dict:
     }
 
 
-def report_to_csv(report: VerificationReport) -> str:
+def trials_to_csv(gaps: NumberTexts, worst_fibers: NumberTexts) -> str:
     """Per-trial CSV text: a header, then trial index, min fiber gap and worst
-    fiber index, one row per trial, with the CRLF line ends of ``csv.writer``."""
-    rows = [f"{i},{gap!r},{fiber}\r\n" for i, (gap, fiber) in
-            enumerate(zip(report.trial_gaps.tolist(), report.trial_worst_fiber.tolist()))]
-    return "trial,min_gap,worst_fiber\r\n" + "".join(rows)
+    fiber index, one row per trial, with the CRLF line ends of ``csv.writer``
+    and the gaps as ``repr`` spells them."""
+    rows = zip(map(str, range(len(gaps))), map(_CSV_SPELLING.get, gaps, gaps), worst_fibers)
+    return "\r\n".join(["trial,min_gap,worst_fiber", *map(",".join, rows), ""])
+
+
+def report_to_csv(report: VerificationReport) -> str:
+    """The per-trial CSV of a report, as ``trials_to_csv`` writes it."""
+    return trials_to_csv(NumberTexts(report.trial_gaps.tolist()),
+                         NumberTexts(report.trial_worst_fiber.tolist()))
 
 
 def search_result_to_dict(result: SearchResult) -> dict:

@@ -441,3 +441,28 @@ def test_report_to_csv_matches_csv_writer(trials):
         # a bool, so that a failure names the first difference instead of diffing every row
         same = got == want
         assert same, first_difference(got, want)
+
+
+def test_verify_report_and_csv_share_one_encoding(tmp_path, pair, capsys, monkeypatch):
+    """The CLI encodes the trial columns once for both writers; the report must
+    still read as ``json.dumps`` writes it, and the CSV as ``csv.writer`` does."""
+    odd = np.array([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e16, 1e-5, 0.1])
+    reports = []
+
+    def odd_verify(*args):
+        reports.append(replace(verify(*args), trials=odd.size, trial_gaps=odd,
+                               trial_worst_fiber=np.arange(odd.size) % 4))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "verify", odd_verify)
+    a, b = pair
+    r, c = tmp_path / "r.json", tmp_path / "t.csv"
+    code, _, _ = run_cli(capsys, "verify", str(a), str(b), "--trials", "8",
+                         "--out", str(r), "--csv", str(c))
+    assert code == 0 and len(reports) == 1
+    text, want = r.read_text(), json_dumps_report(r.read_text(), report_to_dict(reports[0]))
+    same = text == want
+    assert same, first_difference(text, want)
+    got, want = c.read_bytes().decode(), _csv_writer_text(reports[0])
+    same = got == want
+    assert same, first_difference(got, want)
