@@ -74,8 +74,8 @@ def entropy_terms(analysis: np.ndarray, x: np.ndarray, zero_tol: float = ZERO_TO
     """
     c = analysis @ x
     w = np.abs(c) ** 2
-    log_w = np.log(w, out=np.zeros_like(w), where=w > zero_tol)
-    return c, w, log_w, -(w * log_w).sum(axis=-2)
+    log_w = np.log(w, out=np.zeros(w.shape), where=w > zero_tol)
+    return c, w, log_w, -np.add.reduce(w * log_w, axis=-2)
 
 
 def entropy_gradient(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: np.ndarray,
@@ -189,4 +189,4 @@ def buzano_check(x: ModuleVector, y: ModuleVector, z: ModuleVector,
 
 def project_tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:
     """g - Re<v, g> v: gradients projected to the unit sphere at (..., n, 1) columns v."""
-    return g - (v.real * g.real + v.imag * g.imag).sum(axis=-2, keepdims=True) * v
+    return g - np.add.reduce(v.real * g.real + v.imag * g.imag, axis=-2, keepdims=True) * v

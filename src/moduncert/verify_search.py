@@ -264,7 +264,7 @@ def recompute_gap(frame_a: Frame, frame_b: Frame, x: ModuleVector, bound_kind: s
 
 def _re_inner(a, b):
     """Re<a, b> per row of two (batch, n) arrays, as one fixed-order row sum."""
-    return (a.real * b.real + a.imag * b.imag).sum(axis=-1)
+    return np.add.reduce(a.real * b.real + a.imag * b.imag, axis=-1)
 
 
 def _normalize(v):
@@ -377,9 +377,9 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     counts = np.zeros((len(v), 4), dtype=np.int64)
     stall, newton, sweeps, backs = counts.T
     done, has_prev = np.zeros((2, len(v)), dtype=bool)      # has_prev: BB has a last step
-    prev_v, prev_gt = np.zeros_like(v), np.zeros_like(v)
+    prev_v, prev_gt = np.zeros(v.shape, dtype=v.dtype), np.zeros(v.shape, dtype=v.dtype)
     for it in range(max_iters):
-        if done.any():          # the starts that stopped in iteration `it` leave
+        if np.logical_or.reduce(done):      # the starts that stopped in iteration `it` leave
             leave(done, it, True)
             orig, mats, v, f, g, counts, has_prev, prev_v, prev_gt, *terms = (
                 a[~done] for a in (orig, mats, v, f, g, counts, has_prev, prev_v, prev_gt, *terms))
@@ -387,10 +387,10 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
             done = np.zeros(len(orig), dtype=bool)
             if not orig.size:
                 break
-        stiff = np.min(terms[1], axis=(1, 2, 3), initial=np.inf) < STIFF_TOL
+        stiff = np.minimum.reduce(terms[1], axis=(1, 2, 3), initial=np.inf) < STIFF_TOL
         rows = slice(None)      # the rows that take a gradient or Newton step
-        if stiff.any():
-            st, rows = np.flatnonzero(stiff), np.flatnonzero(~stiff)
+        if np.logical_or.reduce(stiff):
+            st, rows = stiff.nonzero()[0], (~stiff).nonzero()[0]
             sweeps[st] += 1
             v[st], improved = _sweep(mats[st], v[st], f[st], zero_tol)
             has_prev[st], done[st[~improved]] = False, True
@@ -407,22 +407,22 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         gsq, ss, sy = _re_inner(np.array([gt, s, s]), np.array([gt, s, y]))
         gnorm = np.sqrt(gsq)
         flat = gnorm <= grad_tol
-        if flat.any():
+        if np.logical_or.reduce(flat):
             done[rows] |= flat
             rows = np.arange(len(orig))[rows][~flat]
             if not rows.size:
                 continue
             vr, gt, gsq, ss, sy, gnorm = (a[~flat] for a in (vr, gt, gsq, ss, sy, gnorm))
         # Barzilai-Borwein trial step <s,s>/Re<s,y>, or 1 with no usable last step
-        alpha = np.clip(np.divide(ss, sy, out=np.ones_like(ss), where=has_prev[rows] & (sy > 0)),
-                        1e-8, 1e8)
+        alpha = np.minimum(np.maximum(
+            np.divide(ss, sy, out=np.ones(ss.shape), where=has_prev[rows] & (sy > 0)), 1e-8), 1e8)
         prev_v[rows], prev_gt[rows] = vr, gt
         # direction d and slope Re<gt, d>: the gradient's, or in the quadratic
         # tail the Newton direction's where it passes the angle test, from step 1
         mats_r, fr, d, slope = mats[rows], f[rows], -gt, -gsq
         use_newton = gnorm <= NEWTON_TOL
-        if use_newton.any():
-            t = slice(None) if use_newton.all() else np.flatnonzero(use_newton)
+        if np.logical_or.reduce(use_newton):
+            t = slice(None) if np.logical_and.reduce(use_newton) else use_newton.nonzero()[0]
             eta = _newton(mats_r[t], vr[t], g[rows][t], gt[t], [x[rows][t] for x in terms],
                           zero_tol)
             eg, ee = _re_inner(np.array([gt[t], eta]), np.array([eta, eta]))
@@ -433,20 +433,20 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         u = _normalize(vr + alpha[:, np.newaxis] * d)
         fu, new = _evaluate(mats_r, u, zero_tol)
         ok = fu <= fr + 1e-4 * alpha * slope
-        if not ok.all():
-            pending, halvings = np.flatnonzero(~ok), np.where(ok, 0, 59)
+        if not np.logical_and.reduce(ok):
+            pending, halvings = (~ok).nonzero()[0], np.where(ok, 0, 59)
             pv, pd, pa, pf, ps, pm = (a[pending] for a in (vr, d, alpha, fr, slope, mats_r))
             for halved in range(1, 60):
                 pa = pa * 0.5
                 up = _normalize(pv + pa[:, np.newaxis] * pd)
                 fp, newp = _evaluate(pm, up, zero_tol)
                 okp = fp <= pf + 1e-4 * pa * ps
-                if okp.any():
+                if np.logical_or.reduce(okp):
                     acc = pending[okp]
                     u[acc], fu[acc], ok[acc], halvings[acc] = up[okp], fp[okp], True, halved
                     for store, x in zip(new, newp):
                         store[acc] = x[okp]
-                    if okp.all():
+                    if np.logical_and.reduce(okp):
                         break
                     pending, pv, pd, pa, pf, ps, pm = (
                         a[~okp] for a in (pending, pv, pd, pa, pf, ps, pm))
