@@ -240,7 +240,9 @@ def _cmd_campaign(args) -> int:
         candidate = is_counterexample_candidate(result, SEARCH_GAP_TOL)
         rec = {**spec, "mu": result.mu, "bound_value": result.bound_value,
                "best_gap": result.best_gap, "boundary_grazing": result.boundary_grazing,
-               "converged": result.converged, "runs_at_max_iters": result.runs_at_max_iters,
+               "converged": result.converged,
+               "iterations_per_start": list(result.iterations_per_start),
+               "runs_at_max_iters": result.runs_at_max_iters,
                "newton_steps": result.newton_steps, "sweep_entries": result.sweep_entries,
                "line_search_backtracks": result.line_search_backtracks, "candidate": candidate}
         if candidate:

@@ -120,10 +120,13 @@ class SearchResult:
 
     ``best_gap`` is recomputed from scratch at report time from the
     assembled ``best_x``; ``boundary_grazing`` marks minima sitting
-    within zero_tol of a vanished coefficient.  ``newton_steps`` counts the
-    accepted Newton steps, ``sweep_entries`` the start-iterations spent in
-    the stiff sweep and ``line_search_backtracks`` the Armijo step halvings,
-    each summed over every (fiber, restart) run.
+    within zero_tol of a vanished coefficient.  ``iterations_per_start``
+    holds the iterations of each (fiber, restart) run at index
+    fiber*restarts + restart, and ``iterations_used`` is their sum.
+    ``newton_steps`` counts the accepted Newton steps, ``sweep_entries``
+    the start-iterations spent in the stiff sweep and
+    ``line_search_backtracks`` the Armijo step halvings, each summed over
+    every (fiber, restart) run.
     """
 
     best_x: ModuleVector
@@ -134,6 +137,7 @@ class SearchResult:
     restarts: int
     max_iters: int
     iterations_used: int
+    iterations_per_start: tuple[int, ...]
     runs_at_max_iters: int
     newton_steps: int
     sweep_entries: int
@@ -506,6 +510,7 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         restarts=restarts,
         max_iters=max_iters,
         iterations_used=int(iters.sum()),
+        iterations_per_start=tuple(iters.tolist()),
         runs_at_max_iters=int(np.count_nonzero(~conv)),
         newton_steps=int(newton.sum()),
         sweep_entries=int(sweeps.sum()),
@@ -610,6 +615,7 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "restarts": result.restarts,
         "max_iters": result.max_iters,
         "iterations_used": result.iterations_used,
+        "iterations_per_start": list(result.iterations_per_start),
         "runs_at_max_iters": result.runs_at_max_iters,
         "newton_steps": result.newton_steps,
         "sweep_entries": result.sweep_entries,

@@ -264,6 +264,7 @@ def test_campaign_records_match_the_library(tmp_path, capsys):
                          "best_gap": result.best_gap,
                          "boundary_grazing": result.boundary_grazing,
                          "converged": result.converged,
+                         "iterations_per_start": list(result.iterations_per_start),
                          "runs_at_max_iters": result.runs_at_max_iters,
                          "newton_steps": result.newton_steps,
                          "sweep_entries": result.sweep_entries,

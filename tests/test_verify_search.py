@@ -240,6 +240,24 @@ def test_search_decoupling_across_fibers():
     assert res.newton_steps > 0
 
 
+def test_iterations_per_start_sum_and_decouple_across_fibers():
+    fa, fb = gen_random_parseval(3, 5, 3, 81), gen_random_parseval(3, 5, 3, 82)
+    res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4, max_iters=300, seed=6)
+    assert len(res.iterations_per_start) == 3 * 4
+    assert sum(res.iterations_per_start) == res.iterations_used
+    doc = search_result_to_dict(res)
+    keys = list(doc)
+    assert keys[keys.index("iterations_used") + 1] == "iterations_per_start"
+    assert doc["iterations_per_start"] == list(res.iterations_per_start)
+    # with restarts a power of two, fiber t's runs are those of the d=1 run
+    # on the restricted frames seeded seed ^ (t*restarts)
+    for t in range(3):
+        sub = minimize_entropy_sum(restrict_to_fiber(fa, t), restrict_to_fiber(fb, t),
+                                   "maassen_uffink", restarts=4, max_iters=300, seed=6 ^ (t * 4))
+        assert res.iterations_per_start[4 * t:4 * t + 4] == sub.iterations_per_start
+    assert len(set(res.iterations_per_start)) > 1
+
+
 def test_descent_start_is_independent_of_its_batch():
     fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
     pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
