@@ -2,9 +2,11 @@
 
 Every run is fully specified by its command line (flags only, no config
 files), and every artifact is JSON with complex numbers as [re, im]
-pairs, so runs diff cleanly.  Exit codes: 0 success and no violations,
-1 usage or I/O error, 2 inequality violation or counterexample
-candidate (a machine-checkable signal for CI).
+pairs, so runs diff cleanly.  A verify run encodes its per-trial columns
+once (``NumberTexts``) and lays out both its report and its CSV from those
+texts.  Exit codes: 0 success and no violations, 1 usage or I/O error,
+2 inequality violation or counterexample candidate (a machine-checkable
+signal for CI).
 """
 
 from __future__ import annotations
@@ -197,8 +199,9 @@ def _cmd_verify(args) -> int:
     report = verify(frame_a, frame_b, _BOUND_ALIASES[args.bound], args.trials, args.seed,
                     args.gap_tol, args.zero_tol)
     body = report_to_dict(report)
-    for key in ("trial_gaps", "trial_worst_fiber"):     # encoded once, for report and CSV
-        body[key] = NumberTexts(body[key])
+    if args.out is not None or args.csv is not None:    # encoded once, for report and CSV
+        for key in ("trial_gaps", "trial_worst_fiber"):
+            body[key] = NumberTexts(body[key])
     if args.out is not None:
         _write_json(_resolve(args.out), "verify", body)
     if args.csv is not None:

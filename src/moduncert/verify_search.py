@@ -2,7 +2,9 @@
 entropy sum against the sharper Maassen-Uffink bound.
 
 Verification samples unit vectors, evaluates the entropy sum against the
-chosen bound fiberwise in the C(X)-order, and records gaps.  The search
+chosen bound fiberwise in the C(X)-order, and records gaps; the one number
+encoding ``NumberTexts`` turns its per-trial columns into the texts that
+both the JSON report and the per-trial CSV are laid out from.  The search
 minimizes the pointwise-minimum-over-fibers of the entropy sum over
 unit-inner-product vectors.  Everything in sight is fiberwise, so the
 search decouples into one problem per fiber on the unit sphere of C^n,
