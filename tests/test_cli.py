@@ -461,7 +461,8 @@ def test_verify_report_and_csv_share_one_encoding(tmp_path, pair, capsys, monkey
     code, _, _ = run_cli(capsys, "verify", str(a), str(b), "--trials", "8",
                          "--out", str(r), "--csv", str(c))
     assert code == 0 and len(reports) == 1
-    text, want = r.read_text(), json_dumps_report(r.read_text(), report_to_dict(reports[0]))
+    text = r.read_text()
+    want = json_dumps_report(text, report_to_dict(reports[0]))
     same = text == want
     assert same, first_difference(text, want)
     got, want = c.read_bytes().decode(), _csv_writer_text(reports[0])
