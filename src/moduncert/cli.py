@@ -246,7 +246,7 @@ def _cmd_campaign(args) -> int:
                "converged": result.converged,
                "iterations_per_start": list(result.iterations_per_start),
                "runs_at_max_iters": result.runs_at_max_iters,
-               "newton_steps": result.newton_steps, "sweep_entries": result.sweep_entries,
+               "newton_steps": result.newton_steps,
                "line_search_backtracks": result.line_search_backtracks, "candidate": candidate}
         if candidate:
             rec["witness"] = search_result_to_dict(result)

@@ -1,6 +1,7 @@
-"""Error types and the tolerance check shared across the package."""
+"""Error types and the argument checks shared across the package."""
 
 import math
+import numbers
 
 
 class DimensionMismatch(ValueError):
@@ -12,6 +13,15 @@ class PreconditionError(ValueError):
 
 
 def check_tolerance(name: str, value: float) -> None:
-    """Raise ValueError unless value is a finite number >= 0."""
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value}")
+    """Raise ValueError unless value is a finite real number >= 0."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or value < 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+
+
+def check_count(name: str, value: int, low: int) -> None:
+    """Raise ValueError unless value is an integer >= low."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")

@@ -12,21 +12,20 @@ solved by Riemannian projected gradient descent (project the Euclidean
 gradient to the tangent space, step, renormalize) from several starts.
 All d*restarts starts descend as one batch against the (d, 2, m, n) stack
 of both frames' analysis arrays.  Each start runs its own Armijo
-backtracking from a Barzilai-Borwein trial step, and starts whose weights
-vanish take a derivative-free coordinate sweep instead.  Once a start's
-tangent gradient is at most ``NEWTON_TOL`` it is polished by Riemannian
-Newton steps (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix
-Manifolds, 2008, ch. 6), which converge quadratically where gradient steps
-crawl: the Newton direction, from the Hessian ``entropy_hessian``, is
-solved on the horizontal space orthogonal to x and i*x as one bordered
-(KKT) system (Nocedal & Wright, Numerical Optimization, 2006, sec. 16.1),
-taken only when it is a descent direction by the angle test, and
-backtracked by Armijo from step 1; otherwise the start keeps its gradient
-step.  The batch holds the state of the starts still running, compacted:
-a start leaves once, when it stops, and its results go to its own index,
-so a round in which every running start takes part needs no gathers.
-Entropies use the 0*ln(0) extension so boundary infima -- where the
-sharper bound is attained -- are reachable.
+backtracking from a Barzilai-Borwein trial step, also where its weights
+vanish.  Once a start's tangent gradient is at most ``NEWTON_TOL`` it is
+polished by Riemannian Newton steps (Absil, Mahony & Sepulchre, Optimization
+Algorithms on Matrix Manifolds, 2008, ch. 6), which converge quadratically
+where gradient steps crawl: the Newton direction, from the Hessian
+``entropy_hessian``, is solved on the horizontal space orthogonal to x and
+i*x as one bordered (KKT) system (Nocedal & Wright, Numerical
+Optimization, 2006, sec. 16.1), taken only when it is a descent direction
+by the angle test, and backtracked by Armijo from step 1; otherwise the
+start keeps its gradient step.  The batch holds the state of the starts
+still running, compacted: a start leaves once, when it stops, and its
+results go to its own index, so a round in which every running start takes
+part needs no gathers.  Entropies use the 0*ln(0) extension so boundary
+infima -- where the sharper bound is attained -- are reachable.
 
 Determinism contract: every unit of work with user seed S draws the same
 vector under any execution schedule, and any single unit can be replayed
@@ -62,7 +61,7 @@ from .entropy_bounds import (
     mu_bound,
     project_tangent,
 )
-from .errors import PreconditionError, check_tolerance
+from .errors import PreconditionError, check_count, check_tolerance
 from .frames import PARSEVAL_TOL, Frame, check_pair_shape, check_vector_shape, vector_norms
 from .frames import gen_random_parseval
 from .frames import to_json as frame_to_json
@@ -78,8 +77,6 @@ BOUND_KINDS = ("deutsch", "maassen_uffink")
 
 VERIFY_GAP_TOL = 1e-9      # gap below -tol counts as a violation
 SEARCH_GAP_TOL = 1e-6      # gap below -tol counts as a counterexample candidate
-STIFF_TOL = 1e-6           # weights below this make the log-gradient stiff
-_SWEEP_PROBE = 1e-2        # first probe step of the stiff coordinate sweep
 GRAD_TOL = 1e-8            # tangent gradient norm stopping threshold
 NEWTON_TOL = 0.1           # tangent gradient norm at or below which Newton steps are tried
 # JSON's spellings of the non-finite floats, and repr's, which the CSV uses
@@ -125,8 +122,7 @@ class SearchResult:
     within zero_tol of a vanished coefficient.  ``iterations_per_start``
     holds the iterations of each (fiber, restart) run at index
     fiber*restarts + restart, and ``iterations_used`` is their sum.
-    ``newton_steps`` counts the accepted Newton steps, ``sweep_entries``
-    the start-iterations spent in the stiff sweep and
+    ``newton_steps`` counts the accepted Newton steps and
     ``line_search_backtracks`` the Armijo step halvings, each summed over
     every (fiber, restart) run.
     """
@@ -142,7 +138,6 @@ class SearchResult:
     iterations_per_start: tuple[int, ...]
     runs_at_max_iters: int
     newton_steps: int
-    sweep_entries: int
     line_search_backtracks: int
     converged: bool
     boundary_grazing: bool
@@ -209,8 +204,7 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
     in isolation.  ``seed`` must be an integer in [0, 2**64).
     """
     _check_pair(frame_a, frame_b)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    check_count("trials", trials, 1)
     check_tolerance("gap_tol", gap_tol)
     check_tolerance("zero_tol", zero_tol)
     mu = coherence(frame_a, frame_b)
@@ -320,57 +314,31 @@ def _newton(mats, v, g, gt, terms, zero_tol):
     return eta[:, :n, 0] + 1j * eta[:, n:k, 0]
 
 
-def _sweep(mats, v, f, zero_tol):
-    """Derivative-free sweep of a batch of stiff starts: per real coordinate,
-    fit a quadratic through three on-sphere values and jump to its minimizer.
-    A start with no descent in a whole sweep retries with the probe cut by 32,
-    down to 1e-9.  Returns the new v and whether each start improved."""
-    coords = np.concatenate([np.eye(v.shape[1]), 1j * np.eye(v.shape[1])])
-    v, improved, pending = v.copy(), np.zeros(len(v), dtype=bool), np.arange(len(v))
-    h = _SWEEP_PROBE
-    while h >= 1e-9 and pending.size:
-        vp, fp_, mp, b = v[pending], f[pending], mats[pending], pending.size
-        both, probe = np.concatenate([mp, mp]), np.repeat([h, -h], b)[:, np.newaxis]
-        for e in coords:
-            u = _normalize(np.concatenate([vp, vp]) + probe * e)     # the +h and -h probes
-            fpm = _evaluate(both, u, zero_tol)[0]
-            fp, fm = fpm[:b], fpm[b:]
-            curve = (fp + fm - 2.0 * fp_) / (h * h)
-            slope = (fp - fm) / (2.0 * h)
-            step = np.where(curve > 0,
-                            np.clip(-slope / np.where(curve > 0, curve, 1.0), -8.0 * h, 8.0 * h),
-                            np.where(slope > 0, -8.0 * h, 8.0 * h))
-            uq = _normalize(vp + step[:, np.newaxis] * e)
-            fc = np.stack([fp, fm, _evaluate(mp, uq, zero_tol)[0]])
-            pick = (np.argmin(fc, axis=0), np.arange(b))      # first best of +h, -h, quadratic
-            fbest, ubest = fc[pick], np.stack([u[:b], u[b:], uq])[pick]
-            down = fbest < fp_ - 1e-15
-            vp, fp_ = np.where(down[:, np.newaxis], ubest, vp), np.where(down, fbest, fp_)
-            improved[pending[down]] = True
-        v[pending] = vp                     # unchanged where nothing improved
-        pending = pending[~improved[pending]]
-        h /= 32.0
-    return v, improved
-
-
 def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     """Riemannian descent on the unit sphere of C^n from every row of v at
     once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
-    Returns, per start, (v, f, iterations, converged, Newton steps, sweep
-    entries, Armijo halvings); converged means a stop other than running out
-    of iterations (a flat gradient, no descent found, or eight steps in a row
-    without progress at floating resolution).  Each start keeps its kernel
+    Returns, per start, (v, f, iterations, converged, Newton steps, Armijo
+    halvings); converged means a stop other than running out of iterations
+    (a flat gradient, no descent found, or eight steps in a row without
+    progress at floating resolution).  Each start keeps its kernel
     terms at its current point: the gradient and the Hessian come from them,
     and an accepted Armijo trial hands over its own.
 
     The state of the active starts is held compacted: a start leaves the
     active arrays once, at the top of the iteration after it stops, and its
     results go to its original index then.  A round in which every active
-    row takes part runs on whole arrays; only stiff rows, flat rows, partial
-    Newton tails and Armijo rounds after the first gather rows."""
+    row takes part runs on whole arrays; only flat rows, partial Newton tails
+    and Armijo rounds after the first gather rows.
+
+    Starts at or near the boundary, where a weight w_j = |c_j|^2 vanishes,
+    take the same steps as every other start.  The gradient
+    -2 A^H((ln w + 1) c) stays continuous as c_j -> 0, since c_j ln w_j -> 0;
+    the Hessian's ln term grows like |ln w_j|, so the sum is strongly curved
+    toward the face, not flat; and weights at or below zero_tol drop out of
+    the value, the gradient and the Hessian."""
     out_v, out_f = np.empty_like(v), np.empty(len(v))
     out_iters, out_conv = np.empty(len(v), dtype=np.int64), np.empty(len(v), dtype=bool)
-    out_counts = np.empty((len(v), 4), dtype=np.int64)
+    out_counts = np.empty((len(v), 3), dtype=np.int64)
 
     def leave(rows, iterations, stopped):
         gone = orig[rows]
@@ -380,33 +348,20 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     orig, mats, v = np.arange(len(v)), pair[fiber], _normalize(v)
     f, terms = _evaluate(mats, v, zero_tol)
     g = _gradient(mats, terms, zero_tol)
-    counts = np.zeros((len(v), 4), dtype=np.int64)
-    stall, newton, sweeps, backs = counts.T
-    done, has_prev = np.zeros((2, len(v)), dtype=bool)      # has_prev: BB has a last step
+    counts = np.zeros((len(v), 3), dtype=np.int64)
+    stall, newton, backs = counts.T
+    done = np.zeros(len(v), dtype=bool)
     prev_v, prev_gt = np.zeros(v.shape, dtype=v.dtype), np.zeros(v.shape, dtype=v.dtype)
     for it in range(max_iters):
         if np.logical_or.reduce(done):      # the starts that stopped in iteration `it` leave
             leave(done, it, True)
-            orig, mats, v, f, g, counts, has_prev, prev_v, prev_gt, *terms = (
-                a[~done] for a in (orig, mats, v, f, g, counts, has_prev, prev_v, prev_gt, *terms))
-            stall, newton, sweeps, backs = counts.T
+            orig, mats, v, f, g, counts, prev_v, prev_gt, *terms = (
+                a[~done] for a in (orig, mats, v, f, g, counts, prev_v, prev_gt, *terms))
+            stall, newton, backs = counts.T
             done = np.zeros(len(orig), dtype=bool)
             if not orig.size:
                 break
-        stiff = np.minimum.reduce(terms[1], axis=(1, 2, 3), initial=np.inf) < STIFF_TOL
         rows = slice(None)      # the rows that take a gradient or Newton step
-        if np.logical_or.reduce(stiff):
-            st, rows = stiff.nonzero()[0], (~stiff).nonzero()[0]
-            sweeps[st] += 1
-            v[st], improved = _sweep(mats[st], v[st], f[st], zero_tol)
-            has_prev[st], done[st[~improved]] = False, True
-            up = st[improved]
-            f[up], new = _evaluate(mats[up], v[up], zero_tol)
-            for store, t in zip(terms, new):
-                store[up] = t
-            g[up] = _gradient(mats[up], new, zero_tol)
-            if not rows.size:
-                continue
         vr = v[rows]
         gt = project_tangent(g[rows][:, :, np.newaxis], vr[:, :, np.newaxis])[:, :, 0]
         s, y = vr - prev_v[rows], gt - prev_gt[rows]
@@ -414,14 +369,15 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         gnorm = np.sqrt(gsq)
         flat = gnorm <= grad_tol
         if np.logical_or.reduce(flat):
-            done[rows] |= flat
-            rows = np.arange(len(orig))[rows][~flat]
+            done |= flat
+            rows = (~flat).nonzero()[0]
             if not rows.size:
                 continue
             vr, gt, gsq, ss, sy, gnorm = (a[~flat] for a in (vr, gt, gsq, ss, sy, gnorm))
-        # Barzilai-Borwein trial step <s,s>/Re<s,y>, or 1 with no usable last step
+        # Barzilai-Borwein trial step <s,s>/Re<s,y>, or 1 with no usable last step;
+        # every start still running after the first iteration stepped in the last one
         alpha = np.minimum(np.maximum(
-            np.divide(ss, sy, out=np.ones(ss.shape), where=has_prev[rows] & (sy > 0)), 1e-8), 1e8)
+            np.divide(ss, sy, out=np.ones(ss.shape), where=(sy > 0) & (it > 0)), 1e-8), 1e8)
         prev_v[rows], prev_gt[rows] = vr, gt
         # direction d and slope Re<gt, d>: the gradient's, or in the quadratic
         # tail the Newton direction's where it passes the angle test, from step 1
@@ -460,7 +416,7 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
             u[~ok], fu[~ok] = vr[~ok], fr[~ok]      # no descent: these stop here
             done[rows] |= ~ok
         slow = fr - fu <= 1e-13 * np.maximum(1.0, np.abs(fu))
-        v[rows], f[rows], has_prev[rows] = u, fu, True
+        v[rows], f[rows] = u, fu
         for store, x in zip(terms, new):
             store[rows] = x
         g[rows] = _gradient(mats_r, new, zero_tol)
@@ -483,10 +439,9 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     on the restricted frame (the unit indices coincide bitwise).
     """
     _check_pair(frame_a, frame_b)
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
+    check_count("restarts", restarts, 1)
+    check_count("max_iters", max_iters, 1)
+    check_count("seed", seed, 0)
     check_tolerance("zero_tol", zero_tol)
     check_tolerance("grad_tol", grad_tol)
     mu = coherence(frame_a, frame_b)
@@ -497,7 +452,7 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     starts = np.stack([random_unit_vector(n, 1, seed ^ unit).entries[:, 0]
                        for unit in range(d * restarts)])
     pair = np.stack([frame_a.analysis, frame_b.analysis], axis=1)      # (d, 2, m, n)
-    v, f, iters, conv, newton, sweeps, backtracks = _descend(
+    v, f, iters, conv, newton, backtracks = _descend(
         pair, np.repeat(np.arange(d), restarts), starts, max_iters, zero_tol, grad_tol)
     best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)
     best_x = ModuleVector(np.ascontiguousarray(v[best].T))
@@ -515,7 +470,6 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         iterations_per_start=tuple(iters.tolist()),
         runs_at_max_iters=int(np.count_nonzero(~conv)),
         newton_steps=int(newton.sum()),
-        sweep_entries=int(sweeps.sum()),
         line_search_backtracks=int(backtracks.sum()),
         converged=bool(conv[best].all()),
         boundary_grazing=grazing,
@@ -546,9 +500,8 @@ def campaign(pairs: int, restarts: int, max_iters: int, seed: int,
     """
     for name, value, low in (("pairs", pairs, 1), ("restarts", restarts, 1),
                              ("max_iters", max_iters, 1), ("seed", seed, 0),
-                             ("n_max", n_max, 2), ("d_max", d_max, 1)):
-        if value < low:
-            raise ValueError(f"{name} must be >= {low}, got {value}")
+                             ("n_max", n_max, 2), ("d_max", d_max, 1), ("m_max", m_max, 1)):
+        check_count(name, value, low)
     if m_max < n_max:
         raise ValueError(f"m_max must be >= n_max, got m_max={m_max}, n_max={n_max}")
     return _campaign_pairs(pairs, restarts, max_iters, seed, n_max, m_max, d_max)
@@ -620,7 +573,6 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "iterations_per_start": list(result.iterations_per_start),
         "runs_at_max_iters": result.runs_at_max_iters,
         "newton_steps": result.newton_steps,
-        "sweep_entries": result.sweep_entries,
         "line_search_backtracks": result.line_search_backtracks,
         "converged": result.converged,
         "boundary_grazing": result.boundary_grazing,

@@ -267,7 +267,6 @@ def test_campaign_records_match_the_library(tmp_path, capsys):
                          "iterations_per_start": list(result.iterations_per_start),
                          "runs_at_max_iters": result.runs_at_max_iters,
                          "newton_steps": result.newton_steps,
-                         "sweep_entries": result.sweep_entries,
                          "line_search_backtracks": result.line_search_backtracks,
                          "candidate": is_counterexample_candidate(result, SEARCH_GAP_TOL)})
     doc = json.loads(out.read_text())

@@ -193,6 +193,25 @@ def test_campaign_rejects_bad_arguments():
             campaign(**{**good, name: bad})
 
 
+@pytest.mark.parametrize("entry, name, bad", [
+    ("search", "seed", -1), ("search", "seed", 1.5), ("search", "restarts", 1.5),
+    ("search", "restarts", True), ("search", "max_iters", 2.5),
+    ("search", "grad_tol", None), ("search", "zero_tol", "1"),
+    ("verify", "trials", 2.5), ("verify", "gap_tol", None), ("campaign", "pairs", 1.5)])
+def test_entry_points_reject_bad_numbers_with_value_error(entry, name, bad):
+    fa = gen_onb(2, 1, 1)
+    calls = {
+        "search": lambda **kw: minimize_entropy_sum(
+            fa, fa, "deutsch", **{"restarts": 1, "max_iters": 5, "seed": 0, **kw}),
+        "verify": lambda **kw: verify(fa, fa, "deutsch", **{"trials": 10, "seed": 0, **kw}),
+        "campaign": lambda **kw: campaign(**{"pairs": 1, "restarts": 1, "max_iters": 1,
+                                             "seed": 0, "n_max": 2, "m_max": 2, "d_max": 1,
+                                             **kw}),
+    }
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        calls[entry](**{name: bad})
+
+
 def test_search_identical_frames():
     fr = gen_onb(3, 1, 61)
     res = minimize_entropy_sum(fr, fr, "deutsch", restarts=8, max_iters=300, seed=2)
@@ -266,20 +285,23 @@ def test_descent_start_is_independent_of_its_batch():
     for b in (0, 3, 6):      # a vanished weight of the first frame: these starts are stiff
         row = pair[fiber[b], 0, 0]
         v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
+    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v), 1e-12)
+    assert np.all(np.min(terms[1][[0, 3, 6]], axis=(1, 2, 3)) <= 1e-6)
     batch = verify_search._descend(pair, fiber, v, 2000, 1e-12, 1e-8)
-    newton, sweeps = batch[4:6]
-    assert sweeps[[0, 3, 6]].all() and newton[sweeps == 0].all()
+    f, _iters, conv, newton = batch[1:5]
+    # the stiff starts descend and converge like the others, ending in Newton steps
+    assert np.all(f < f0) and conv.all() and newton.all()
     for b in range(8):
         alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], 2000, 1e-12, 1e-8)
-        for got, want in zip(alone[:3], batch[:3]):      # v, f and iterations
+        for got, want in zip(alone, batch):     # v, f, iterations, converged, and the counters
             assert np.array_equal(got[0], want[b])
 
 
 @pytest.mark.parametrize("max_iters", [2000, 12])
 def test_descent_results_leave_at_each_start_s_own_index(max_iters):
     # the starts leave the compacted active set at different iterations: start 0 is
-    # already flat (a converged start fed back in), 1, 4 and 7 are stiff, the rest take
-    # Newton steps, and with max_iters=12 some run out of iterations
+    # already flat (a converged start fed back in), 1, 4 and 7 start stiff, others end
+    # in Newton steps, and with max_iters=12 some run out of iterations
     fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
     pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
     fiber = np.arange(10) % 2
@@ -288,15 +310,19 @@ def test_descent_results_leave_at_each_start_s_own_index(max_iters):
         row = pair[fiber[b], 0, 0]
         v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
     v[0] = verify_search._descend(pair, fiber[:1], v[:1], 2000, 1e-12, 1e-8)[0][0]
+    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v), 1e-12)
+    assert np.all(np.min(terms[1][[1, 4, 7]], axis=(1, 2, 3)) <= 1e-6)
     batch = verify_search._descend(pair, fiber, v, max_iters, 1e-12, 1e-8)
-    iters, conv, newton, sweeps = batch[2:6]
+    f, iters, conv, newton = batch[1:5]
     assert iters[0] == 1 and conv[0]
-    assert sweeps[[1, 4, 7]].all() and newton.any() and len(set(iters)) >= 3
+    assert np.all(f[[1, 4, 7]] < f0[[1, 4, 7]]) and newton.any() and len(set(iters)) >= 3
     if max_iters == 12:
         assert not conv.all() and conv[iters == 12].any()    # capped, and stopped at the cap
+    else:
+        assert conv.all()
     for b in range(10):
         alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], max_iters, 1e-12, 1e-8)
-        assert len(alone) == len(batch) == 7
+        assert len(alone) == len(batch) == 6
         for got, want in zip(alone, batch):     # v, f, iterations, converged, and the counters
             assert np.array_equal(got[0], want[b])
 
@@ -343,18 +369,18 @@ def test_newton_direction_survives_a_singular_system():
     assert np.all(np.isnan(eta[1]))
 
 
-def test_search_counts_newton_steps_and_sweep_entries():
+def test_search_counts_newton_steps():
     fa, fb = gen_random_parseval(6, 10, 4, 111), gen_random_parseval(6, 10, 4, 112)
     interior = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=2, seed=3)
     assert interior.newton_steps > 0 and not interior.boundary_grazing
     fra, frb = gen_fourier_pair(2, 1)
     grazing = minimize_entropy_sum(fra, frb, "maassen_uffink", restarts=8, max_iters=500, seed=3)
-    assert grazing.sweep_entries > 0
+    assert grazing.newton_steps > 0 and grazing.boundary_grazing
     doc = search_result_to_dict(interior)
     keys = list(doc)
-    assert keys[keys.index("runs_at_max_iters") + 1:][:2] == ["newton_steps", "sweep_entries"]
-    assert (doc["newton_steps"], doc["sweep_entries"]) == (interior.newton_steps,
-                                                           interior.sweep_entries)
+    assert keys[keys.index("runs_at_max_iters") + 1:keys.index("converged")] == [
+        "newton_steps", "line_search_backtracks"]
+    assert doc["newton_steps"] == interior.newton_steps
 
 
 def test_search_counts_line_search_backtracks():
@@ -363,7 +389,7 @@ def test_search_counts_line_search_backtracks():
     assert res.line_search_backtracks > 0 and not res.boundary_grazing
     doc = search_result_to_dict(res)
     keys = list(doc)
-    assert keys[keys.index("sweep_entries") + 1] == "line_search_backtracks"
+    assert keys[keys.index("newton_steps") + 1] == "line_search_backtracks"
     assert doc["line_search_backtracks"] == res.line_search_backtracks
 
 
@@ -434,7 +460,7 @@ def test_search_matches_the_exact_qubit_minimum(case):
     if kind == "onb":
         fa, fb = gen_onb(2, d, seed), gen_onb(2, d, seed + 1000)
     else:
-        # mutually unbiased: the minimum sits at a basis vector, where the sweep runs
+        # mutually unbiased: the minimum sits at a basis vector, where weights vanish
         fa, fb = gen_fourier_pair(2, d)
     res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4, max_iters=2000, seed=7)
     # squared overlaps |<tau_j, omega_k>(t)|^2 from the rows of the analysis matrices
