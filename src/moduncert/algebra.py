@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_tolerance
+from .errors import DimensionMismatch, check_count, check_tolerance, is_number
 
 # Absolute tolerance for positivity / order checks on floating-point data.
 POSITIVITY_TOL = 1e-9
@@ -63,15 +63,13 @@ def _check_same_d(a: AlgebraElement, b: AlgebraElement) -> None:
 
 def identity(d: int) -> AlgebraElement:
     """The unit of C(X): the constant function 1."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_count("d", d, 1)
     return AlgebraElement(np.ones(d, dtype=np.complex128))
 
 
 def zero(d: int) -> AlgebraElement:
     """The zero element."""
-    if d < 1:
-        raise ValueError(f"d must be >= 1, got {d}")
+    check_count("d", d, 1)
     return AlgebraElement(np.zeros(d, dtype=np.complex128))
 
 
@@ -126,7 +124,7 @@ def from_json(data, *, what: str = "algebra element") -> AlgebraElement:
     vals = np.empty(len(data), dtype=np.complex128)
     for t, pair in enumerate(data):
         if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(isinstance(u, (int, float)) for u in pair)):
+                or not all(is_number(u) for u in pair)):
             raise ValueError(f"{what}: entry {t} is not a [re, im] pair: {pair!r}")
         vals[t] = complex(pair[0], pair[1])
     return AlgebraElement(vals)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 from datetime import datetime, timezone
@@ -23,13 +22,12 @@ from pathlib import Path
 from . import __version__
 from . import frames as frames_mod
 from . import module_space as module_mod
+from . import verify_search as search_mod
 from .algebra import to_json as algebra_to_json
-from .entropy_bounds import ZERO_TOL, buzano_check, coherence, entropy
+from .entropy_bounds import buzano_check, coherence, entropy
 from .frames import PARSEVAL_TOL, Frame, gen_fourier_pair, gen_onb, gen_random_parseval
 from .module_space import ModuleVector, random_unit_vector
 from .verify_search import (
-    SEARCH_GAP_TOL,
-    VERIFY_GAP_TOL,
     NumberTexts,
     campaign,
     is_counterexample_candidate,
@@ -52,16 +50,14 @@ _BOUND_ALIASES = {"deutsch": "deutsch", "maassen-uffink": "maassen_uffink",
                   "maassen_uffink": "maassen_uffink"}
 
 
-def _at_least(low, convert):
-    """argparse type: convert the text, then require a finite value >= low."""
-    def check(text: str):
-        value = convert(text)
-        if isinstance(value, float) and not math.isfinite(value):
-            raise argparse.ArgumentTypeError(f"must be finite, got {value}")
+def _at_least(low: int):
+    """argparse type: an integer >= low."""
+    def check(text: str) -> int:
+        value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
         return value
-    check.__name__ = convert.__name__   # argparse names the type in "invalid int value"
+    check.__name__ = "int"   # argparse names the type in "invalid int value"
     return check
 
 
@@ -171,7 +167,7 @@ def _cmd_gen(args) -> int:
 def _cmd_entropy(args) -> int:
     frame = _load_frame(args.frame, require_parseval=True)
     x = _load_vector(args.vector)
-    ev = entropy(frame, x, args.zero_tol, strict_unit_frame=args.strict)
+    ev = entropy(frame, x, strict_unit_frame=args.strict)
     reals = ev.value.values.real
     if args.out is not None:
         _write_json(_resolve(args.out), "entropy", {
@@ -196,8 +192,7 @@ def _cmd_coherence(args) -> int:
 def _cmd_verify(args) -> int:
     frame_a = _load_frame(args.frame_a, require_parseval=True)
     frame_b = _load_frame(args.frame_b, require_parseval=True)
-    report = verify(frame_a, frame_b, _BOUND_ALIASES[args.bound], args.trials, args.seed,
-                    args.gap_tol, args.zero_tol)
+    report = verify(frame_a, frame_b, _BOUND_ALIASES[args.bound], args.trials, args.seed)
     body = report_to_dict(report)
     if args.out is not None or args.csv is not None:    # encoded once, for report and CSV
         for key in ("trial_gaps", "trial_worst_fiber"):
@@ -215,7 +210,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_buzano(args) -> int:
-    res = buzano_check(_load_vector(args.x), _load_vector(args.y), _load_vector(args.z), args.tol)
+    res = buzano_check(_load_vector(args.x), _load_vector(args.y), _load_vector(args.z))
     print(f"buzano: lhs={res.lhs:.6f} rhs={res.rhs:.6f} holds={str(res.holds).lower()}")
     return EXIT_OK if res.holds else EXIT_VIOLATION
 
@@ -225,10 +220,10 @@ def _cmd_search(args) -> int:
     frame_b = _load_frame(args.frame_b, require_parseval=True)
     result = minimize_entropy_sum(frame_a, frame_b, _BOUND_ALIASES[args.bound],
                                   restarts=args.restarts, max_iters=args.max_iters,
-                                  seed=args.seed, zero_tol=args.zero_tol)
+                                  seed=args.seed)
     if args.out is not None:
         _write_json(_resolve(args.out), "search", search_result_to_dict(result))
-    candidate = is_counterexample_candidate(result, SEARCH_GAP_TOL)
+    candidate = is_counterexample_candidate(result)
     verdict = "CANDIDATE" if candidate else ("boundary-grazing" if result.boundary_grazing else "OK")
     print(f"search: bound={result.bound_value:.6f} ({result.bound_kind}, mu={result.mu:.6f})"
           f" best_gap={result.best_gap:.6f} restarts={result.restarts}"
@@ -240,7 +235,7 @@ def _cmd_campaign(args) -> int:
     records, candidates = [], []
     for spec, _fa, _fb, result in campaign(args.pairs, args.restarts, args.max_iters, args.seed,
                                            args.n_max, args.m_max, args.d_max):
-        candidate = is_counterexample_candidate(result, SEARCH_GAP_TOL)
+        candidate = is_counterexample_candidate(result)
         rec = {**spec, "mu": result.mu, "bound_value": result.bound_value,
                "best_gap": result.best_gap, "boundary_grazing": result.boundary_grazing,
                "converged": result.converged,
@@ -257,7 +252,7 @@ def _cmd_campaign(args) -> int:
         _write_json(_resolve(args.out), "campaign", {
             "kind": "campaign",
             "pairs": args.pairs, "restarts": args.restarts, "max_iters": args.max_iters,
-            "seed": args.seed, "gap_tol": SEARCH_GAP_TOL,
+            "seed": args.seed, "gap_tol": search_mod.SEARCH_GAP_TOL,
             "n_max": args.n_max, "m_max": args.m_max, "d_max": args.d_max,
             "worst_gap": worst_gap, "candidate_pairs": candidates, "records": records,
         })
@@ -270,7 +265,7 @@ def _cmd_campaign(args) -> int:
 
 def _cmd_chain(args) -> int:
     ok = proof_chain_check(_load_frame(args.frame_a), _load_frame(args.frame_b),
-                           _load_vector(args.x), args.tol)
+                           _load_vector(args.x))
     print(f"chain: holds={str(ok).lower()}")
     return EXIT_OK if ok else EXIT_VIOLATION
 
@@ -297,20 +292,19 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", type=Path, default=None, help="output JSON path")
         if seed:
-            p.add_argument("--seed", type=_at_least(0, int), default=1)
+            p.add_argument("--seed", type=_at_least(0), default=1)
         return p
 
     p = add_command("gen", _cmd_gen, "generate frames or unit vectors", out=False)
     p.add_argument("--out", type=Path, required=True, help="output JSON path or directory")
-    p.add_argument("--seed", type=_at_least(0, int), default=None)   # 1 where it applies
+    p.add_argument("--seed", type=_at_least(0), default=None)   # 1 where it applies
     p.add_argument("--kind", choices=_GEN_KINDS, required=True)
-    p.add_argument("--n", type=_at_least(1, int), required=True)
-    p.add_argument("--m", type=_at_least(1, int), default=None)
-    p.add_argument("--d", type=_at_least(1, int), default=1)
+    p.add_argument("--n", type=_at_least(1), required=True)
+    p.add_argument("--m", type=_at_least(1), default=None)
+    p.add_argument("--d", type=_at_least(1), default=1)
 
     p = add_command("entropy", _cmd_entropy, "modular Shannon entropy of a vector in a frame",
                     "frame", "vector")
-    p.add_argument("--zero-tol", type=_at_least(0.0, float), default=ZERO_TOL)
     p.add_argument("--strict", action="store_true",
                    help="require the frame itself to have unit inner products")
 
@@ -320,34 +314,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("verify", _cmd_verify, "Monte Carlo check of an uncertainty bound",
                     "frame_a", "frame_b", seed=True)
     p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="deutsch")
-    p.add_argument("--trials", type=_at_least(1, int), default=1000)
-    p.add_argument("--gap-tol", type=_at_least(0.0, float), default=VERIFY_GAP_TOL)
-    p.add_argument("--zero-tol", type=_at_least(0.0, float), default=ZERO_TOL)
+    p.add_argument("--trials", type=_at_least(1), default=1000)
     p.add_argument("--csv", type=Path, default=None, help="per-trial CSV path")
 
-    p = add_command("buzano", _cmd_buzano, "evaluate both sides of the Buzano inequality",
-                    "x", "y", "z", out=False)
-    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-10)
+    add_command("buzano", _cmd_buzano, "evaluate both sides of the Buzano inequality",
+                "x", "y", "z", out=False)
 
     p = add_command("search", _cmd_search, "minimize the entropy sum against a bound",
                     "frame_a", "frame_b", seed=True)
     p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="maassen-uffink")
-    p.add_argument("--restarts", type=_at_least(1, int), default=32)
-    p.add_argument("--max-iters", type=_at_least(1, int), default=2000)
-    p.add_argument("--zero-tol", type=_at_least(0.0, float), default=ZERO_TOL)
+    p.add_argument("--restarts", type=_at_least(1), default=32)
+    p.add_argument("--max-iters", type=_at_least(1), default=2000)
 
     p = add_command("campaign", _cmd_campaign,
                     "search random frame pairs against the coherence bound", seed=True)
-    p.add_argument("--pairs", type=_at_least(1, int), default=50)
-    p.add_argument("--restarts", type=_at_least(1, int), default=32)
-    p.add_argument("--max-iters", type=_at_least(1, int), default=2000)
-    p.add_argument("--n-max", type=_at_least(2, int), default=6)
-    p.add_argument("--m-max", type=_at_least(2, int), default=10)
-    p.add_argument("--d-max", type=_at_least(1, int), default=4)
+    p.add_argument("--pairs", type=_at_least(1), default=50)
+    p.add_argument("--restarts", type=_at_least(1), default=32)
+    p.add_argument("--max-iters", type=_at_least(1), default=2000)
+    p.add_argument("--n-max", type=_at_least(2), default=6)
+    p.add_argument("--m-max", type=_at_least(2), default=10)
+    p.add_argument("--d-max", type=_at_least(1), default=4)
 
-    p = add_command("chain", _cmd_chain, "check the pairwise product bound behind the proof",
-                    "frame_a", "frame_b", "x", out=False)
-    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-10)
+    add_command("chain", _cmd_chain, "check the pairwise product bound behind the proof",
+                "frame_a", "frame_b", "x", out=False)
     return parser
 
 

@@ -12,7 +12,8 @@ in_domain flag preserves the strict reading in which no coefficient may
 vanish; the continuous extension is what makes boundary infima of the
 uncertainty functional reachable.  Every evaluation of S, of its
 gradient and of its Hessian goes through ``entropy_terms``,
-``entropy_gradient`` and ``entropy_hessian``.
+``entropy_gradient`` and ``entropy_hessian``.  A weight counts as zero
+at or below ``ZERO_TOL``, which every caller reads at call time.
 
 Bounds: for coherence mu = max_{j,k} ||<tau_j, omega_k>||, the Deutsch
 bound is -2 ln((1 + mu)/2) and the Maassen-Uffink (Kraus) bound is
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algebra import AlgebraElement, norm
-from .errors import PreconditionError, check_tolerance
+from .errors import PreconditionError
 from .frames import (
     PARSEVAL_TOL,
     Frame,
@@ -41,6 +42,8 @@ from .module_space import ModuleVector, inner, is_unit_inner, module_norm
 
 # Weights at or below this count as zero for the a*ln(a) := 0 convention.
 ZERO_TOL = 1e-12
+# Slack of the Buzano and proof-chain inequality checks.
+INEQUALITY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class EntropyValue:
     """A-valued entropy plus domain-membership bookkeeping.
 
     ``in_domain`` is True iff every coefficient weight, in every fiber,
-    stays above the zero tolerance (the strict domain of the entropy);
+    stays above ``ZERO_TOL`` (the strict domain of the entropy);
     ``zero_coefficient_count`` counts the (j, fiber) pairs at or below it.
     """
 
@@ -62,40 +65,40 @@ def fiber_columns(entries: np.ndarray) -> np.ndarray:
     return np.swapaxes(entries, -1, -2)[..., np.newaxis]
 
 
-def entropy_terms(analysis: np.ndarray, x: np.ndarray, zero_tol: float = ZERO_TOL):
+def entropy_terms(analysis: np.ndarray, x: np.ndarray):
     """Coefficients, weights, their logarithms and the entropy of a batch of columns.
 
     ``analysis`` is (..., m, n) and ``x`` is (..., n, 1); the two batch
     shapes broadcast.  Returns ``(c, w, log_w, s)`` with c = A x,
-    w = |c|^2, log_w = ln w where w > zero_tol and 0 elsewhere (so that
+    w = |c|^2, log_w = ln w where w > ZERO_TOL and 0 elsewhere (so that
     w ln w := 0 there), and s = -sum_j w_j ln w_j of shape (..., 1).
     Each column is one matrix-vector product and one contiguous sum, so
     its results do not depend on what else is in the batch.
     """
     c = analysis @ x
     w = np.abs(c) ** 2
-    log_w = np.log(w, out=np.zeros(w.shape), where=w > zero_tol)
+    log_w = np.log(w, out=np.zeros(w.shape), where=w > ZERO_TOL)
     return c, w, log_w, -np.add.reduce(w * log_w, axis=-2)
 
 
-def entropy_gradient(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: np.ndarray,
-                     zero_tol: float = ZERO_TOL) -> np.ndarray:
+def entropy_gradient(analysis: np.ndarray, c: np.ndarray, w: np.ndarray,
+                     log_w: np.ndarray) -> np.ndarray:
     """Gradient g = -2 A^H ((ln w + 1) * c) of the entropy at the columns
     behind ``entropy_terms``, reusing their ``log_w``.  g packs the real and
     imaginary parts of x, so ds = Re(g^H dx); vanished weights add no term,
     matching the continuous extension of the entropy."""
-    coeff = np.where(w > zero_tol, log_w + 1.0, 0.0)
+    coeff = np.where(w > ZERO_TOL, log_w + 1.0, 0.0)
     return -2.0 * (np.conj(np.swapaxes(analysis, -1, -2)) @ (coeff * c))
 
 
-def entropy_hessian(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: np.ndarray,
-                    zero_tol: float = ZERO_TOL) -> np.ndarray:
+def entropy_hessian(analysis: np.ndarray, c: np.ndarray, w: np.ndarray,
+                    log_w: np.ndarray) -> np.ndarray:
     """Real (..., 2n, 2n) Hessian of the entropy in [Re x, Im x] coordinates
     at the columns behind ``entropy_terms``, reusing their terms.  With R_j
     the real 2 x 2n form of row j and r_j = R_j^T [Re c_j, Im c_j], weight j
     adds -2 (ln w_j + 1) R_j^T R_j - (4 / w_j) r_j r_j^T; vanished weights
     add nothing, as in ``entropy_gradient``."""
-    live = w > zero_tol
+    live = w > ZERO_TOL
     coeff = np.where(live, -2.0 * (log_w + 1.0), 0.0)
     inv = np.where(live, 4.0 / np.where(live, w, 1.0), 0.0)
     # sum_j coeff_j R_j^T R_j is the real form [[Re M, -Im M], [Im M, Re M]] of M = A^H diag(coeff) A
@@ -110,8 +113,7 @@ def entropy_hessian(analysis: np.ndarray, c: np.ndarray, w: np.ndarray, log_w: n
     return np.subtract(hess, np.swapaxes(r, -1, -2) @ (inv * r), out=hess)
 
 
-def entropy(frame: Frame, x: ModuleVector, zero_tol: float = ZERO_TOL, *,
-            strict_unit_frame: bool = False) -> EntropyValue:
+def entropy(frame: Frame, x: ModuleVector, *, strict_unit_frame: bool = False) -> EntropyValue:
     """Modular Shannon entropy of x with respect to a Parseval frame.
 
     Preconditions: x has unit inner product and the frame is Parseval
@@ -122,7 +124,6 @@ def entropy(frame: Frame, x: ModuleVector, zero_tol: float = ZERO_TOL, *,
     (fiberwise orthonormal bases), so the default accepts every
     Parseval frame, the way the classical Parseval-frame entropy does.
     """
-    check_tolerance("zero_tol", zero_tol)
     check_vector_shape(frame, x)
     if not frame.parseval:
         raise PreconditionError("entropy needs a Parseval frame"
@@ -131,8 +132,8 @@ def entropy(frame: Frame, x: ModuleVector, zero_tol: float = ZERO_TOL, *,
         raise PreconditionError("entropy needs a unit inner product vector")
     if strict_unit_frame and not has_unit_inner_products(frame):
         raise PreconditionError("strict mode: frame vectors must all have unit inner product")
-    _c, w, _log_w, s = entropy_terms(frame.analysis, fiber_columns(x.entries), zero_tol)
-    count = int(np.count_nonzero(w <= zero_tol))
+    _c, w, _log_w, s = entropy_terms(frame.analysis, fiber_columns(x.entries))
+    count = int(np.count_nonzero(w <= ZERO_TOL))
     return EntropyValue(
         value=AlgebraElement(s[:, 0].astype(np.complex128)),
         in_domain=(count == 0),
@@ -173,18 +174,16 @@ class BuzanoResult(NamedTuple):
     holds: bool
 
 
-def buzano_check(x: ModuleVector, y: ModuleVector, z: ModuleVector,
-                 tol: float = 1e-10) -> BuzanoResult:
+def buzano_check(x: ModuleVector, y: ModuleVector, z: ModuleVector) -> BuzanoResult:
     """Evaluate ||<x,z><z,y>|| <= (||x|| ||y|| + ||<x,y>||) / 2 for unit z.
 
-    Returns both sides and whether the inequality holds with slack tol.
+    Returns both sides and whether it holds with slack ``INEQUALITY_TOL``.
     """
-    check_tolerance("tol", tol)
     if not is_unit_inner(z):
         raise PreconditionError("buzano_check needs <z, z> = 1")
     lhs = norm(inner(x, z) * inner(z, y))
     rhs = 0.5 * (module_norm(x) * module_norm(y) + norm(inner(x, y)))
-    return BuzanoResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + tol))
+    return BuzanoResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + INEQUALITY_TOL))
 
 
 def project_tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:

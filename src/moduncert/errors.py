@@ -12,6 +12,11 @@ class PreconditionError(ValueError):
     """A documented operation precondition does not hold."""
 
 
+def is_number(value) -> bool:
+    """True for an int or a float, but not for a bool (JSON's true and false)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def check_tolerance(name: str, value: float) -> None:
     """Raise ValueError unless value is a finite real number >= 0."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_tolerance
+from .errors import DimensionMismatch, check_count, check_tolerance
 from .module_space import ModuleVector, pairs_from_json, pairs_to_json, vector_header
 
 PARSEVAL_TOL = 1e-9
@@ -150,8 +150,8 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
 
 def gen_onb(n: int, d: int, seed) -> Frame:
     """Random orthonormal basis per fiber: rows of an independent Haar unitary."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_count("n", n, 1)
+    check_count("d", d, 1)
     rng = np.random.default_rng(seed)
     rows = np.stack([_haar_unitary(n, rng) for _ in range(d)], axis=0)
     return Frame(np.conj(rows))
@@ -160,8 +160,8 @@ def gen_onb(n: int, d: int, seed) -> Frame:
 def gen_random_parseval(n: int, m: int, d: int, seed) -> Frame:
     """Random Parseval frame: per fiber, the isometry factor of the polar
     decomposition of an m x n complex Gaussian (rows are the frame vectors)."""
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    for name, value in (("n", n), ("m", m), ("d", d)):
+        check_count(name, value, 1)
     if m < n:
         raise ValueError(f"need m >= n for a Parseval frame, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
@@ -179,8 +179,8 @@ def gen_fourier_pair(n: int, d: int) -> tuple[Frame, Frame]:
     The bases are mutually unbiased in every fiber: all cross inner
     products have modulus 1/sqrt(n).
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_count("n", n, 1)
+    check_count("d", d, 1)
     std = np.eye(n, dtype=np.complex128)
     k, i = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
     dft = np.exp(2j * np.pi * k * i / n) / np.sqrt(n)  # row k = omega_k

@@ -11,11 +11,12 @@ exact rather than approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .algebra import AlgebraElement, norm
-from .errors import DimensionMismatch, check_tolerance
+from .errors import DimensionMismatch, check_count, check_tolerance, is_number
 
 # Tolerance at which a vector counts as having unit inner product.
 UNIT_TOL = 1e-9
@@ -99,8 +100,8 @@ def random_unit_vector(n: int, d: int, seed) -> ModuleVector:
     Complex-Gaussian then normalize; deterministic given an integer seed.
     ``seed`` may also be a numpy Generator, which is advanced in place.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    check_count("n", n, 1)
+    check_count("d", d, 1)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     z /= np.sqrt(np.sum(np.abs(z) ** 2, axis=0, keepdims=True))
@@ -117,12 +118,10 @@ def unit_vector_stream(n: int, d: int, seed: int, start: int, count: int) -> np.
     alone as ``unit_vector_stream(n, d, seed, i, 1)[0]``, bitwise equal.
     Returns a (count, n, d) complex array; each [u] is an ``entries`` array.
     """
-    if n < 1 or d < 1:
-        raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
+    for name, value, low in (("n", n, 1), ("d", d, 1), ("start", start, 0), ("count", count, 0)):
+        check_count(name, value, low)
     if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
-    if start < 0 or count < 0:
-        raise ValueError(f"need start >= 0 and count >= 0, got start={start}, count={count}")
     nd = n * d
     k = 4 * -(-2 * nd // 4)
     bits = np.random.Philox(key=int(seed))
@@ -144,17 +143,27 @@ def pairs_from_json(block, shape: tuple[int, ...], what: str) -> np.ndarray:
 
     ``shape`` is (n, d) for one vector's entries, or (m, n, d) for the
     entries of m vectors.  Well-formed input is decoded by one
-    ``np.asarray`` call.  Anything else is walked by ``_check_pairs``,
-    which raises a ValueError naming the vector, row and fiber at fault.
+    ``np.asarray`` call and one scan of the number types, since NumPy
+    reads JSON's true and false as 1 and 0.  Anything else is walked by
+    ``_check_pairs``, which raises a ValueError naming the vector, row and
+    fiber at fault.
     """
     try:
         arr = np.asarray(block)
     except (ValueError, TypeError, OverflowError):      # ragged nesting
         arr = None
-    if arr is None or arr.shape != (*shape, 2) or arr.dtype.kind not in "biuf":
+    if (arr is None or arr.shape != (*shape, 2) or arr.dtype.kind not in "iuf"
+            or _holds_bool(block, len(shape))):
         _check_pairs(block, shape, what)
         arr = np.array(block, dtype=np.float64)         # valid, but ints beyond int64
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
+
+
+def _holds_bool(block, depth: int) -> bool:
+    """Whether a [re, im] pair ``depth`` list levels down in block holds a bool."""
+    for _ in range(depth - 1):
+        block = chain.from_iterable(block)
+    return any(type(re) is bool or type(im) is bool for re, im in block)
 
 
 def _check_pairs(block, shape: tuple[int, ...], what: str) -> None:
@@ -173,7 +182,7 @@ def _check_pairs(block, shape: tuple[int, ...], what: str) -> None:
             raise ValueError(f"{what}: row {i} must hold d={d} fibers, got {size(row)}")
         for t, pair in enumerate(row):
             if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                    or not all(isinstance(u, (int, float)) for u in pair)):
+                    or not all(is_number(u) for u in pair)):
                 raise ValueError(f"{what}: row {i}, fiber {t} is not a [re, im] pair: {pair!r}")
             try:
                 float(pair[0]), float(pair[1])

@@ -27,6 +27,10 @@ results go to its own index, so a round in which every running start takes
 part needs no gathers.  Entropies use the 0*ln(0) extension so boundary
 infima -- where the sharper bound is attained -- are reachable.
 
+Tolerances are module constants, read at call time from the module that
+defines them: ``VERIFY_GAP_TOL``, ``SEARCH_GAP_TOL`` and ``GRAD_TOL`` here,
+``ZERO_TOL`` and ``INEQUALITY_TOL`` in ``entropy_bounds``.
+
 Determinism contract: every unit of work with user seed S draws the same
 vector under any execution schedule, and any single unit can be replayed
 in isolation.  Verify trial i is unit i of the counter-based stream
@@ -47,9 +51,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import entropy_bounds
 from .algebra import add as algebra_add
 from .entropy_bounds import (
-    ZERO_TOL,
     coherence,
     cross_inner_norms,
     deutsch_bound,
@@ -61,7 +65,7 @@ from .entropy_bounds import (
     mu_bound,
     project_tangent,
 )
-from .errors import PreconditionError, check_count, check_tolerance
+from .errors import PreconditionError, check_count
 from .frames import PARSEVAL_TOL, Frame, check_pair_shape, check_vector_shape, vector_norms
 from .frames import gen_random_parseval
 from .frames import to_json as frame_to_json
@@ -94,8 +98,8 @@ class VerificationReport:
     """Per-trial gap record for one bound check.
 
     ``violations`` holds exactly the (trial, fiber, gap) entries with
-    gap < -gap_tol; ``boundary_graze_trials`` lists violating trials
-    whose vector had a coefficient within zero_tol of vanishing (outside
+    gap < -``VERIFY_GAP_TOL``; ``boundary_graze_trials`` lists violating
+    trials whose vector had a weight at or below ``ZERO_TOL`` (outside
     the strict entropy domain, so not counterexample evidence).
     """
 
@@ -103,7 +107,6 @@ class VerificationReport:
     bound_kind: str
     bound_value: float
     mu: float
-    gap_tol: float
     min_gap: float
     violations: tuple[tuple[int, int, float], ...]
     boundary_graze_trials: tuple[int, ...]
@@ -118,8 +121,8 @@ class SearchResult:
     """Outcome of one entropy-sum minimization.
 
     ``best_gap`` is recomputed from scratch at report time from the
-    assembled ``best_x``; ``boundary_grazing`` marks minima sitting
-    within zero_tol of a vanished coefficient.  ``iterations_per_start``
+    assembled ``best_x``; ``boundary_grazing`` marks minima with a
+    weight at or below ``ZERO_TOL``.  ``iterations_per_start``
     holds the iterations of each (fiber, restart) run at index
     fiber*restarts + restart, and ``iterations_used`` is their sum.
     ``newton_steps`` counts the accepted Newton steps and
@@ -143,7 +146,6 @@ class SearchResult:
     boundary_grazing: bool
     seed: int
     frames_digest: str
-    zero_tol: float
 
 
 def canonical_json(obj) -> bytes:
@@ -188,15 +190,15 @@ def _check_pair(frame_a: Frame, frame_b: Frame) -> None:
             raise PreconditionError(f"{name} frame is not Parseval at tol={PARSEVAL_TOL:g}")
 
 
-def _entropies(frame: Frame, xs: np.ndarray, zero_tol: float):
+def _entropies(frame: Frame, xs: np.ndarray):
     """Entropies (batch, d) of a (batch, d, n, 1) batch of columns and the
     number of vanished weights per vector; the weights are dropped on return."""
-    _c, w, _log_w, s = entropy_terms(frame.analysis, xs, zero_tol)
-    return s[..., 0], np.count_nonzero(w <= zero_tol, axis=(1, 2, 3))
+    _c, w, _log_w, s = entropy_terms(frame.analysis, xs)
+    return s[..., 0], np.count_nonzero(w <= entropy_bounds.ZERO_TOL, axis=(1, 2, 3))
 
 
-def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: int,
-           gap_tol: float = VERIFY_GAP_TOL, zero_tol: float = ZERO_TOL) -> VerificationReport:
+def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
+           seed: int) -> VerificationReport:
     """Sample unit vectors and check the entropy sum against the bound fiberwise.
 
     Trial i draws its vector from ``unit_vector_stream(n, d, seed, i, 1)``,
@@ -205,8 +207,6 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
     """
     _check_pair(frame_a, frame_b)
     check_count("trials", trials, 1)
-    check_tolerance("gap_tol", gap_tol)
-    check_tolerance("zero_tol", zero_tol)
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
     n, d = frame_a.n, frame_a.d
@@ -219,12 +219,12 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
         xs = fiber_columns(unit_vector_stream(n, d, seed, start, stop - start))
-        sa, za = _entropies(frame_a, xs, zero_tol)
-        sb, zb = _entropies(frame_b, xs, zero_tol)
+        sa, za = _entropies(frame_a, xs)
+        sb, zb = _entropies(frame_b, xs)
         gaps = (sa + sb) - bound                       # (chunk, d)
         trial_gaps[start:stop] = gaps.min(axis=1)
         trial_worst[start:stop] = gaps.argmin(axis=1)
-        bad_trial, bad_fiber = np.nonzero(gaps < -gap_tol)
+        bad_trial, bad_fiber = np.nonzero(gaps < -VERIFY_GAP_TOL)
         for s, t in zip(bad_trial, bad_fiber):
             violations.append((start + int(s), int(t), float(gaps[s, t])))
         zeros = za + zb
@@ -235,7 +235,6 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
         bound_kind=bound_kind,
         bound_value=float(bound),
         mu=mu,
-        gap_tol=gap_tol,
         min_gap=float(trial_gaps.min()),
         violations=tuple(violations),
         boundary_graze_trials=tuple(graze),
@@ -246,15 +245,15 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int, seed: i
     )
 
 
-def recompute_gap(frame_a: Frame, frame_b: Frame, x: ModuleVector, bound_kind: str,
-                  zero_tol: float = ZERO_TOL) -> tuple[float, bool]:
+def recompute_gap(frame_a: Frame, frame_b: Frame, x: ModuleVector,
+                  bound_kind: str) -> tuple[float, bool]:
     """Gap of the entropy sum at x against the bound, from scratch.
 
     Returns (gap, boundary_grazing).  This is the replay path: it goes
     through the public entropy evaluation, not the optimizer internals.
     """
-    ea = entropy(frame_a, x, zero_tol)
-    eb = entropy(frame_b, x, zero_tol)
+    ea = entropy(frame_a, x)
+    eb = entropy(frame_b, x)
     total = algebra_add(ea.value, eb.value)
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
@@ -271,20 +270,20 @@ def _normalize(v):
     return v / np.sqrt(_re_inner(v, v))[:, np.newaxis]
 
 
-def _evaluate(mats, v, zero_tol):
+def _evaluate(mats, v):
     """Entropy sums of the (batch, n) rows v against their (batch, 2, m, n) frame
     pairs, and the kernel terms (c, w, log_w) behind them."""
-    c, w, log_w, s = entropy_terms(mats, v[:, np.newaxis, :, np.newaxis], zero_tol)
+    c, w, log_w, s = entropy_terms(mats, v[:, np.newaxis, :, np.newaxis])
     return s[:, 0, 0] + s[:, 1, 0], (c, w, log_w)
 
 
-def _gradient(mats, terms, zero_tol):
+def _gradient(mats, terms):
     """Gradients (batch, n) of the entropy sums from their kernel terms."""
-    g = entropy_gradient(mats, *terms, zero_tol)
+    g = entropy_gradient(mats, *terms)
     return g[:, 0, :, 0] + g[:, 1, :, 0]
 
 
-def _newton(mats, v, g, gt, terms, zero_tol):
+def _newton(mats, v, g, gt, terms):
     """Riemannian Newton directions (batch, n) at the unit rows v, from the
     gradients g, tangent gradients gt and kernel terms there.  The entropy sum
     is constant along i*v, so the Newton equation (H - Re<v, g> I) eta = -gt
@@ -297,7 +296,7 @@ def _newton(mats, v, g, gt, terms, zero_tol):
     k = 2 * n
     system = np.zeros((b, k + 2, k + 2))
     system[:, :k, :k] = entropy_hessian(mats.reshape(b, -1, n),
-                                        *(t.reshape(b, -1, 1) for t in terms), zero_tol)
+                                        *(t.reshape(b, -1, 1) for t in terms))
     system.reshape(b, -1)[:, :k * (k + 3):k + 3] -= _re_inner(v, g)[:, np.newaxis]
     # the border X = [x, ix]: x = [Re v, Im v] and ix = [-Im v, Re v]
     system[:, :n, k] = system[:, n:k, k + 1] = system[:, k, :n] = system[:, k + 1, n:k] = v.real
@@ -314,13 +313,13 @@ def _newton(mats, v, g, gt, terms, zero_tol):
     return eta[:, :n, 0] + 1j * eta[:, n:k, 0]
 
 
-def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
+def _descend(pair, fiber, v, max_iters):
     """Riemannian descent on the unit sphere of C^n from every row of v at
     once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
     Returns, per start, (v, f, iterations, converged, Newton steps, Armijo
     halvings); converged means a stop other than running out of iterations
-    (a flat gradient, no descent found, or eight steps in a row without
-    progress at floating resolution).  Each start keeps its kernel
+    (a tangent gradient norm at most ``GRAD_TOL``, no descent found, or
+    eight steps in a row without progress at floating resolution).  Each start keeps its kernel
     terms at its current point: the gradient and the Hessian come from them,
     and an accepted Armijo trial hands over its own.
 
@@ -334,8 +333,8 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
     take the same steps as every other start.  The gradient
     -2 A^H((ln w + 1) c) stays continuous as c_j -> 0, since c_j ln w_j -> 0;
     the Hessian's ln term grows like |ln w_j|, so the sum is strongly curved
-    toward the face, not flat; and weights at or below zero_tol drop out of
-    the value, the gradient and the Hessian."""
+    toward the face, not flat; and weights at or below ``ZERO_TOL`` drop out
+    of the value, the gradient and the Hessian."""
     out_v, out_f = np.empty_like(v), np.empty(len(v))
     out_iters, out_conv = np.empty(len(v), dtype=np.int64), np.empty(len(v), dtype=bool)
     out_counts = np.empty((len(v), 3), dtype=np.int64)
@@ -346,8 +345,8 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         out_iters[gone], out_conv[gone] = iterations, stopped
 
     orig, mats, v = np.arange(len(v)), pair[fiber], _normalize(v)
-    f, terms = _evaluate(mats, v, zero_tol)
-    g = _gradient(mats, terms, zero_tol)
+    f, terms = _evaluate(mats, v)
+    g = _gradient(mats, terms)
     counts = np.zeros((len(v), 3), dtype=np.int64)
     stall, newton, backs = counts.T
     done = np.zeros(len(v), dtype=bool)
@@ -367,7 +366,7 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         s, y = vr - prev_v[rows], gt - prev_gt[rows]
         gsq, ss, sy = _re_inner(np.array([gt, s, s]), np.array([gt, s, y]))
         gnorm = np.sqrt(gsq)
-        flat = gnorm <= grad_tol
+        flat = gnorm <= GRAD_TOL
         if np.logical_or.reduce(flat):
             done |= flat
             rows = (~flat).nonzero()[0]
@@ -385,15 +384,14 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         use_newton = gnorm <= NEWTON_TOL
         if np.logical_or.reduce(use_newton):
             t = slice(None) if np.logical_and.reduce(use_newton) else use_newton.nonzero()[0]
-            eta = _newton(mats_r[t], vr[t], g[rows][t], gt[t], [x[rows][t] for x in terms],
-                          zero_tol)
+            eta = _newton(mats_r[t], vr[t], g[rows][t], gt[t], [x[rows][t] for x in terms])
             eg, ee = _re_inner(np.array([gt[t], eta]), np.array([eta, eta]))
             use_newton[t] = ok = eg <= -1e-6 * np.sqrt(gsq[t] * ee)
             d[use_newton], slope[use_newton], alpha[use_newton] = eta[ok], eg[ok], 1.0
         # Armijo backtracking per start: the first trial on every row at once,
         # then halvings on the rows still pending
         u = _normalize(vr + alpha[:, np.newaxis] * d)
-        fu, new = _evaluate(mats_r, u, zero_tol)
+        fu, new = _evaluate(mats_r, u)
         ok = fu <= fr + 1e-4 * alpha * slope
         if not np.logical_and.reduce(ok):
             pending, halvings = (~ok).nonzero()[0], np.where(ok, 0, 59)
@@ -401,7 +399,7 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
             for halved in range(1, 60):
                 pa = pa * 0.5
                 up = _normalize(pv + pa[:, np.newaxis] * pd)
-                fp, newp = _evaluate(pm, up, zero_tol)
+                fp, newp = _evaluate(pm, up)
                 okp = fp <= pf + 1e-4 * pa * ps
                 if np.logical_or.reduce(okp):
                     acc = pending[okp]
@@ -419,7 +417,7 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
         v[rows], f[rows] = u, fu
         for store, x in zip(terms, new):
             store[rows] = x
-        g[rows] = _gradient(mats_r, new, zero_tol)
+        g[rows] = _gradient(mats_r, new)
         newton[rows] += use_newton & ok
         stall[rows] = np.where(slow, stall[rows] + 1, 0)
         done[rows] |= stall[rows] >= 8
@@ -428,8 +426,8 @@ def _descend(pair, fiber, v, max_iters, zero_tol, grad_tol):
 
 
 def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
-                         restarts: int = 32, max_iters: int = 2000, seed: int = 0,
-                         zero_tol: float = ZERO_TOL, grad_tol: float = GRAD_TOL) -> SearchResult:
+                         restarts: int = 32, max_iters: int = 2000,
+                         seed: int = 0) -> SearchResult:
     """Minimize the pointwise-minimum-over-fibers entropy sum over unit x.
 
     The problem decouples into one sphere minimization per fiber;
@@ -442,8 +440,6 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     check_count("restarts", restarts, 1)
     check_count("max_iters", max_iters, 1)
     check_count("seed", seed, 0)
-    check_tolerance("zero_tol", zero_tol)
-    check_tolerance("grad_tol", grad_tol)
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
     n, d = frame_a.n, frame_a.d
@@ -453,10 +449,10 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
                        for unit in range(d * restarts)])
     pair = np.stack([frame_a.analysis, frame_b.analysis], axis=1)      # (d, 2, m, n)
     v, f, iters, conv, newton, backtracks = _descend(
-        pair, np.repeat(np.arange(d), restarts), starts, max_iters, zero_tol, grad_tol)
+        pair, np.repeat(np.arange(d), restarts), starts, max_iters)
     best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)
     best_x = ModuleVector(np.ascontiguousarray(v[best].T))
-    best_gap, grazing = recompute_gap(frame_a, frame_b, best_x, bound_kind, zero_tol)
+    best_gap, grazing = recompute_gap(frame_a, frame_b, best_x, bound_kind)
 
     return SearchResult(
         best_x=best_x,
@@ -475,15 +471,13 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         boundary_grazing=grazing,
         seed=seed,
         frames_digest=frames_digest(frame_a, frame_b),
-        zero_tol=zero_tol,
     )
 
 
-def is_counterexample_candidate(result: SearchResult, gap_tol: float = SEARCH_GAP_TOL) -> bool:
-    """A candidate needs a genuinely negative gap away from the boundary;
+def is_counterexample_candidate(result: SearchResult) -> bool:
+    """A candidate needs a gap below -``SEARCH_GAP_TOL`` away from the boundary;
     boundary-grazing minima live outside the strict entropy domain."""
-    check_tolerance("gap_tol", gap_tol)
-    return result.best_gap < -gap_tol and not result.boundary_grazing
+    return result.best_gap < -SEARCH_GAP_TOL and not result.boundary_grazing
 
 
 def campaign(pairs: int, restarts: int, max_iters: int, seed: int,
@@ -532,7 +526,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "bound_kind": report.bound_kind,
         "mu": report.mu,
         "bound_value": report.bound_value,
-        "gap_tol": report.gap_tol,
+        "gap_tol": VERIFY_GAP_TOL,
         "seed": report.seed,
         "frames_digest": report.frames_digest,
         "min_gap": report.min_gap,
@@ -566,7 +560,7 @@ def search_result_to_dict(result: SearchResult) -> dict:
         "bound_value": result.bound_value,
         "seed": result.seed,
         "frames_digest": result.frames_digest,
-        "zero_tol": result.zero_tol,
+        "zero_tol": entropy_bounds.ZERO_TOL,
         "restarts": result.restarts,
         "max_iters": result.max_iters,
         "iterations_used": result.iterations_used,
@@ -581,16 +575,15 @@ def search_result_to_dict(result: SearchResult) -> dict:
     }
 
 
-def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector,
-                      tol: float = 1e-10) -> bool:
+def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector) -> bool:
     """Check the pairwise product bound the uncertainty proof passes through
     the monotone logarithm:
 
         ||<tau_j, x><x, omega_k>|| <= (||tau_j|| ||omega_k|| + ||<tau_j, omega_k>||)/2
 
-    for every (j, k), with x of unit inner product.
+    for every (j, k), with x of unit inner product, up to
+    ``INEQUALITY_TOL`` of slack.
     """
-    check_tolerance("tol", tol)
     if not is_unit_inner(x):
         raise PreconditionError("proof_chain_check needs a unit inner product x")
     check_vector_shape(frame_a, x)
@@ -601,4 +594,4 @@ def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector,
     lhs = np.max(ca[:, :, np.newaxis] * cb[:, np.newaxis, :], axis=0)   # (m_a, m_b)
     rhs = 0.5 * (np.outer(vector_norms(frame_a), vector_norms(frame_b))
                  + cross_inner_norms(frame_a, frame_b))
-    return bool(np.all(lhs <= rhs + tol))
+    return bool(np.all(lhs <= rhs + entropy_bounds.INEQUALITY_TOL))

@@ -21,7 +21,6 @@ from moduncert import (
 from moduncert import frames as frames_mod
 from moduncert.cli import main, render_report
 from moduncert.verify_search import (
-    SEARCH_GAP_TOL,
     report_to_csv,
     report_to_dict,
     search_result_to_dict,
@@ -76,6 +75,24 @@ def test_entropy_command(tmp_path, pair, capsys):
     doc = json.loads((tmp_path / "e.json").read_text())
     assert doc["kind"] == "entropy"
     assert doc["in_domain"] is True
+
+
+def test_entropy_strict_needs_unit_frame_vectors(tmp_path, capsys):
+    v = tmp_path / "v.json"
+    assert run_cli(capsys, "gen", "--kind", "unit-vector", "--n", "2", "--seed", "7",
+                   "--out", str(v))[0] == 0
+    for kind, m, expect in (("random-parseval", "3", 1), ("onb", None, 0)):
+        frame = tmp_path / f"{kind}.json"
+        assert run_cli(capsys, "gen", "--kind", kind, "--n", "2", *(["--m", m] if m else []),
+                       "--out", str(frame))[0] == 0
+        assert run_cli(capsys, "entropy", str(frame), str(v))[0] == 0
+        code, out, err = run_cli(capsys, "entropy", str(frame), str(v), "--strict")
+        assert code == expect
+        if expect:
+            assert out == ""
+            assert err == "error: strict mode: frame vectors must all have unit inner product\n"
+        else:
+            assert out.startswith("entropy: min=")
 
 
 def test_verify_writes_report_and_csv(tmp_path, pair, capsys):
@@ -206,18 +223,6 @@ def test_usage_error_exits_1(capsys):
     assert code == 1 and "--seed: must be >= 0" in err
 
 
-def test_non_finite_tolerances_exit_1(tmp_path, pair, capsys):
-    a, b = pair
-    for argv in (("verify", a, b, "--zero-tol", "0.95", "--gap-tol", "nan"),
-                 ("verify", a, b, "--zero-tol", "0.95", "--gap-tol", "inf"),
-                 ("search", a, b, "--restarts", "1", "--zero-tol", "nan"),
-                 ("entropy", a, a, "--zero-tol", "inf"),
-                 ("chain", a, b, a, "--tol=-inf")):
-        code, out, err = run_cli(capsys, *map(str, argv))
-        assert code == 1 and out == ""
-        assert "must be finite" in err
-
-
 def test_gen_rejects_flags_that_do_not_apply(tmp_path, capsys):
     out = tmp_path / "g"
     for argv, flag in ((("--kind", "onb", "--n", "2", "--m", "5"), "--m"),
@@ -268,7 +273,7 @@ def test_campaign_records_match_the_library(tmp_path, capsys):
                          "runs_at_max_iters": result.runs_at_max_iters,
                          "newton_steps": result.newton_steps,
                          "line_search_backtracks": result.line_search_backtracks,
-                         "candidate": is_counterexample_candidate(result, SEARCH_GAP_TOL)})
+                         "candidate": is_counterexample_candidate(result)})
     doc = json.loads(out.read_text())
     assert doc["header"]["command"] == "campaign"
     assert doc["records"] == expected
@@ -277,7 +282,7 @@ def test_campaign_records_match_the_library(tmp_path, capsys):
 def test_campaign_candidate_exits_2_with_a_witness(tmp_path, capsys, monkeypatch):
     seen = []
 
-    def pair_1_is_a_candidate(result, gap_tol):
+    def pair_1_is_a_candidate(result):
         seen.append(result)
         return len(seen) == 2
 

@@ -321,9 +321,5 @@ def test_tolerances_must_be_finite():
     fr = standard_basis_frame(2)
     x = random_unit_vector(2, 1, 1)
     for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
-        with pytest.raises(ValueError, match="zero_tol must be finite and >= 0"):
-            entropy(fr, x, bad)
         with pytest.raises(ValueError, match="tol must be finite and >= 0"):
             is_positive(entropy(fr, x).value, bad)
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            buzano_check(x, x, x, bad)

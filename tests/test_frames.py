@@ -17,7 +17,9 @@ from moduncert import (
     restrict_to_fiber,
     scale,
 )
+from moduncert.algebra import from_json as algebra_from_json
 from moduncert.frames import from_json, max_vector_norm, to_json
+from moduncert.module_space import from_json as vector_from_json
 from moduncert.module_space import to_json as vector_to_json
 
 
@@ -252,3 +254,22 @@ def test_from_json_diagnostics():
     # integers beyond int64 but within float range still decode
     fr = from_json(one_vector(entries=[[[0.0, 0.0]], [[2 ** 70, 0]]]))
     assert fr.analysis[0, 1, 1] == 2.0 ** 70
+
+
+def _frame_doc(entries_0, entries_1):
+    return {"n": 2, "m": 2, "d": 1, "vectors": [{"n": 2, "d": 1, "entries": entries_0},
+                                                {"n": 2, "d": 1, "entries": entries_1}]}
+
+
+@pytest.mark.parametrize("decode, doc, where", [
+    (from_json, _frame_doc([[[True, False]], [[False, False]]],
+                           [[[False, False]], [[True, False]]]), "vector 0: row 0, fiber 0"),
+    (from_json, _frame_doc([[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[1.0, False]]]),
+     "vector 1: row 1, fiber 0"),
+    (vector_from_json, {"n": 2, "d": 1, "entries": [[[True, 0.0]], [[0.0, 0.0]]]},
+     "row 0, fiber 0"),
+    (algebra_from_json, [[1.0, 0.0], [True, 0.0]], "entry 1")])
+def test_decoders_refuse_booleans(decode, doc, where):
+    # JSON's true and false are not numbers, though NumPy would read them as 1 and 0
+    with pytest.raises(ValueError, match=f"{where} is not a \\[re, im\\] pair"):
+        decode(doc)

@@ -5,6 +5,10 @@ from moduncert import (
     AlgebraElement,
     DimensionMismatch,
     ModuleVector,
+    gen_fourier_pair,
+    gen_onb,
+    gen_random_parseval,
+    identity,
     inner,
     involution,
     is_positive,
@@ -14,6 +18,7 @@ from moduncert import (
     random_unit_vector,
     scale,
     unit_vector_stream,
+    zero,
 )
 from moduncert.module_space import from_json, to_json
 
@@ -118,8 +123,20 @@ def test_unit_vector_stream_rejects_bad_arguments():
             unit_vector_stream(2, 1, seed, 0, 1)
     with pytest.raises(ValueError, match="start"):
         unit_vector_stream(2, 1, 0, -1, 1)
-    with pytest.raises(ValueError, match="n >= 1"):
+    with pytest.raises(ValueError, match="n must be >= 1"):
         unit_vector_stream(0, 1, 0, 0, 1)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    (gen_onb, (2.5, 1, 1), "n"), (gen_random_parseval, (2, 3.0, 1, 1), "m"),
+    (gen_random_parseval, (2, 3, True, 1), "d"), (gen_fourier_pair, (2.5, 1), "n"),
+    (random_unit_vector, (2, 1.5, 0), "d"), (unit_vector_stream, (2.5, 1, 0, 0, 1), "n"),
+    (unit_vector_stream, (2, 1, 0, 0.5, 1), "start"),
+    (unit_vector_stream, (2, 1, 0, 0, -1), "count"),
+    (identity, (1.5,), "d"), (zero, (True,), "d")])
+def test_sizes_must_be_integers(fn, args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        fn(*args)
 
 
 def test_first_coordinate_weight_moment():

@@ -23,9 +23,10 @@ from moduncert import (
     unit_vector_stream,
     verify,
 )
-from moduncert import verify_search
-from moduncert.entropy_bounds import entropy_hessian, project_tangent
+from moduncert import entropy_bounds, verify_search
+from moduncert.entropy_bounds import ZERO_TOL, entropy_hessian, project_tangent
 from moduncert.verify_search import (
+    VERIFY_GAP_TOL,
     bound_value_for,
     canonical_json,
     report_to_csv,
@@ -70,22 +71,23 @@ def test_verify_random_modular_pair():
     assert rep.min_gap >= -1e-9
 
 
-def test_verify_report_bookkeeping():
+def test_verify_report_bookkeeping(monkeypatch):
     fra, frb = gen_fourier_pair(2, 1)
     rep = verify(fra, frb, "deutsch", trials=300, seed=11)
     assert rep.min_gap == pytest.approx(float(np.min(rep.trial_gaps)), abs=0)
     assert rep.trial_gaps.shape == (300,)
     assert np.all(rep.trial_worst_fiber == 0)
-    # an extreme zero_tol drops every weight from the sum, driving the
+    # an extreme zero threshold drops every weight from the sum, driving the
     # entropy sum to zero below the bound: the violation and
     # boundary-graze bookkeeping must track exactly
-    bad = verify(fra, frb, "deutsch", trials=50, seed=11, zero_tol=0.95)
+    monkeypatch.setattr(entropy_bounds, "ZERO_TOL", 0.95)
+    bad = verify(fra, frb, "deutsch", trials=50, seed=11)
     assert bad.violations
     flagged = {t for (t, f, g) in bad.violations}
-    expect = {i for i in range(50) if bad.trial_gaps[i] < -bad.gap_tol}
+    expect = {i for i in range(50) if bad.trial_gaps[i] < -VERIFY_GAP_TOL}
     assert flagged == expect
     for (t, f, g) in bad.violations:
-        assert g < -bad.gap_tol
+        assert g < -VERIFY_GAP_TOL
         assert g == pytest.approx(bad.trial_gaps[t], abs=0)
     assert set(bad.boundary_graze_trials) == flagged
 
@@ -156,28 +158,6 @@ def test_verify_preconditions():
         verify(fa, fa, "deutsch", trials=0, seed=0)
 
 
-def test_tolerances_must_be_finite(monkeypatch):
-    fa = gen_onb(2, 1, 1)
-    res = minimize_entropy_sum(fa, fa, "deutsch", restarts=1, max_iters=5, seed=0)
-
-    def descent_started(*args):
-        raise AssertionError("the descent ran with a bad tolerance")
-
-    monkeypatch.setattr(verify_search, "_descend", descent_started)
-    for bad in (float("nan"), float("inf"), -float("inf"), -1.0):
-        for kw in ("gap_tol", "zero_tol"):
-            with pytest.raises(ValueError, match=f"{kw} must be finite and >= 0"):
-                verify(fa, fa, "deutsch", trials=10, seed=0, **{kw: bad})
-        for kw in ("zero_tol", "grad_tol"):
-            with pytest.raises(ValueError, match=f"{kw} must be finite and >= 0"):
-                minimize_entropy_sum(fa, fa, "deutsch", restarts=1, max_iters=5, seed=0,
-                                     **{kw: bad})
-        with pytest.raises(ValueError, match="gap_tol must be finite and >= 0"):
-            is_counterexample_candidate(res, bad)
-        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
-            proof_chain_check(fa, fa, fa.vectors[0], bad)
-
-
 def test_campaign_rejects_bad_arguments():
     good = dict(pairs=1, restarts=1, max_iters=1, seed=0, n_max=2, m_max=2, d_max=1)
     for name, bad, message in (("pairs", 0, "pairs must be >= 1, got 0"),
@@ -196,8 +176,7 @@ def test_campaign_rejects_bad_arguments():
 @pytest.mark.parametrize("entry, name, bad", [
     ("search", "seed", -1), ("search", "seed", 1.5), ("search", "restarts", 1.5),
     ("search", "restarts", True), ("search", "max_iters", 2.5),
-    ("search", "grad_tol", None), ("search", "zero_tol", "1"),
-    ("verify", "trials", 2.5), ("verify", "gap_tol", None), ("campaign", "pairs", 1.5)])
+    ("verify", "trials", 2.5), ("campaign", "pairs", 1.5)])
 def test_entry_points_reject_bad_numbers_with_value_error(entry, name, bad):
     fa = gen_onb(2, 1, 1)
     calls = {
@@ -235,7 +214,7 @@ def test_search_gap_recomputation_matches():
     fb = gen_random_parseval(3, 5, 2, 72)
     res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4,
                                max_iters=300, seed=9)
-    gap, grazing = recompute_gap(fa, fb, res.best_x, "maassen_uffink", res.zero_tol)
+    gap, grazing = recompute_gap(fa, fb, res.best_x, "maassen_uffink")
     assert gap == pytest.approx(res.best_gap, abs=1e-12)
     assert grazing == res.boundary_grazing
     assert is_unit_inner(res.best_x, 1e-10)
@@ -285,14 +264,14 @@ def test_descent_start_is_independent_of_its_batch():
     for b in (0, 3, 6):      # a vanished weight of the first frame: these starts are stiff
         row = pair[fiber[b], 0, 0]
         v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
-    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v), 1e-12)
+    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v))
     assert np.all(np.min(terms[1][[0, 3, 6]], axis=(1, 2, 3)) <= 1e-6)
-    batch = verify_search._descend(pair, fiber, v, 2000, 1e-12, 1e-8)
+    batch = verify_search._descend(pair, fiber, v, 2000)
     f, _iters, conv, newton = batch[1:5]
     # the stiff starts descend and converge like the others, ending in Newton steps
     assert np.all(f < f0) and conv.all() and newton.all()
     for b in range(8):
-        alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], 2000, 1e-12, 1e-8)
+        alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], 2000)
         for got, want in zip(alone, batch):     # v, f, iterations, converged, and the counters
             assert np.array_equal(got[0], want[b])
 
@@ -309,10 +288,10 @@ def test_descent_results_leave_at_each_start_s_own_index(max_iters):
     for b in (1, 4, 7):      # a vanished weight of the first frame: these starts are stiff
         row = pair[fiber[b], 0, 0]
         v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
-    v[0] = verify_search._descend(pair, fiber[:1], v[:1], 2000, 1e-12, 1e-8)[0][0]
-    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v), 1e-12)
+    v[0] = verify_search._descend(pair, fiber[:1], v[:1], 2000)[0][0]
+    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v))
     assert np.all(np.min(terms[1][[1, 4, 7]], axis=(1, 2, 3)) <= 1e-6)
-    batch = verify_search._descend(pair, fiber, v, max_iters, 1e-12, 1e-8)
+    batch = verify_search._descend(pair, fiber, v, max_iters)
     f, iters, conv, newton = batch[1:5]
     assert iters[0] == 1 and conv[0]
     assert np.all(f[[1, 4, 7]] < f0[[1, 4, 7]]) and newton.any() and len(set(iters)) >= 3
@@ -321,7 +300,7 @@ def test_descent_results_leave_at_each_start_s_own_index(max_iters):
     else:
         assert conv.all()
     for b in range(10):
-        alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], max_iters, 1e-12, 1e-8)
+        alone = verify_search._descend(pair, fiber[b:b + 1], v[b:b + 1], max_iters)
         assert len(alone) == len(batch) == 6
         for got, want in zip(alone, batch):     # v, f, iterations, converged, and the counters
             assert np.array_equal(got[0], want[b])
@@ -335,15 +314,15 @@ def test_newton_direction_is_horizontal_and_solves_the_projected_system():
         fa, fb = gen_random_parseval(n, m, d, 1500 + k), gen_random_parseval(n, m, d, 2500 + k)
         mats = np.stack([fa.analysis, fb.analysis], axis=1)     # one start per fiber
         v = unit_vector_stream(n, d, 160 + k, 0, 1)[0].T
-        _f, terms = verify_search._evaluate(mats, v, 1e-12)
-        g = verify_search._gradient(mats, terms, 1e-12)
+        _f, terms = verify_search._evaluate(mats, v)
+        g = verify_search._gradient(mats, terms)
         gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
-        eta = verify_search._newton(mats, v, g, gt, terms, 1e-12)
+        eta = verify_search._newton(mats, v, g, gt, terms)
         size = np.linalg.norm(eta, axis=1)
         for normal in (v, 1j * v):
             assert np.all(np.abs((normal.conj() * eta).sum(axis=1).real) <= 1e-12 * size)
         # reference: P (H - Re<x,g> I) P + x x^T + (ix)(ix)^T in [Re, Im] coordinates
-        hess = sum(entropy_hessian(mats[:, j], *(t[:, j] for t in terms), 1e-12) for j in (0, 1))
+        hess = sum(entropy_hessian(mats[:, j], *(t[:, j] for t in terms)) for j in (0, 1))
         x = np.concatenate([v.real, v.imag], axis=1)[:, :, np.newaxis]
         ix = np.concatenate([-v.imag, v.real], axis=1)[:, :, np.newaxis]
         normal = x @ np.swapaxes(x, 1, 2) + ix @ np.swapaxes(ix, 1, 2)
@@ -360,11 +339,11 @@ def test_newton_direction_survives_a_singular_system():
     # start 1 sees all-zero frames at a basis vector: no Hessian, no gradient, a singular system
     mats = np.stack([np.stack([fa.analysis[0], fb.analysis[0]]), np.zeros((2, 5, 3))])
     v = np.stack([unit_vector_stream(3, 1, 133, 0, 1)[0, :, 0], np.eye(3)[0].astype(complex)])
-    _f, terms = verify_search._evaluate(mats, v, 1e-12)
-    g = verify_search._gradient(mats, terms, 1e-12)
+    _f, terms = verify_search._evaluate(mats, v)
+    g = verify_search._gradient(mats, terms)
     gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
-    eta = verify_search._newton(mats, v, g, gt, terms, 1e-12)
-    alone = verify_search._newton(mats[:1], v[:1], g[:1], gt[:1], [t[:1] for t in terms], 1e-12)
+    eta = verify_search._newton(mats, v, g, gt, terms)
+    alone = verify_search._newton(mats[:1], v[:1], g[:1], gt[:1], [t[:1] for t in terms])
     assert np.array_equal(eta[0], alone[0]) and np.all(np.isfinite(eta[0]))
     assert np.all(np.isnan(eta[1]))
 
@@ -500,6 +479,23 @@ def test_report_serialization_shapes():
     assert sdoc["kind"] == "search"
     assert sdoc["best_x"]["n"] == 2
     assert json.dumps(sdoc)
+
+
+def test_reports_record_the_tolerance_constants_in_fixed_key_order():
+    fra, frb = gen_fourier_pair(2, 1)
+    doc = report_to_dict(verify(fra, frb, "deutsch", trials=10, seed=1))
+    assert doc["gap_tol"] == VERIFY_GAP_TOL == 1e-9
+    assert list(doc) == ["kind", "trials", "bound_kind", "mu", "bound_value", "gap_tol", "seed",
+                         "frames_digest", "min_gap", "violations", "boundary_graze_trials",
+                         "trial_gaps", "trial_worst_fiber"]
+    sdoc = search_result_to_dict(minimize_entropy_sum(fra, frb, "deutsch", restarts=1,
+                                                      max_iters=5, seed=1))
+    assert sdoc["zero_tol"] == ZERO_TOL == 1e-12
+    assert list(sdoc) == ["kind", "bound_kind", "mu", "bound_value", "seed", "frames_digest",
+                          "zero_tol", "restarts", "max_iters", "iterations_used",
+                          "iterations_per_start", "runs_at_max_iters", "newton_steps",
+                          "line_search_backtracks", "converged", "boundary_grazing",
+                          "best_gap", "best_x"]
 
 
 def test_canonical_json_stable():
