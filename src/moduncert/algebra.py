@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, check_count, check_tolerance, is_number
+from .errors import DimensionMismatch, check_count, check_tolerance
 
 # Absolute tolerance for positivity / order checks on floating-point data.
 POSITIVITY_TOL = 1e-9
@@ -110,21 +110,3 @@ def order_geq(a: AlgebraElement, b: AlgebraElement, tol: float = POSITIVITY_TOL)
     """The C*-order: a >= b iff a - b is positive."""
     _check_same_d(a, b)
     return is_positive(sub(a, b), tol)
-
-
-def to_json(a: AlgebraElement) -> list:
-    """JSON encoding: array of d two-element arrays [re, im]."""
-    return [[float(z.real), float(z.imag)] for z in a.values]
-
-
-def from_json(data, *, what: str = "algebra element") -> AlgebraElement:
-    """Decode the [re, im] pair-array encoding, validating shape."""
-    if not isinstance(data, list) or len(data) == 0:
-        raise ValueError(f"{what}: expected a nonempty array of [re, im] pairs")
-    vals = np.empty(len(data), dtype=np.complex128)
-    for t, pair in enumerate(data):
-        if (not isinstance(pair, (list, tuple)) or len(pair) != 2
-                or not all(is_number(u) for u in pair)):
-            raise ValueError(f"{what}: entry {t} is not a [re, im] pair: {pair!r}")
-        vals[t] = complex(pair[0], pair[1])
-    return AlgebraElement(vals)

@@ -23,9 +23,8 @@ from . import __version__
 from . import frames as frames_mod
 from . import module_space as module_mod
 from . import verify_search as search_mod
-from .algebra import to_json as algebra_to_json
 from .entropy_bounds import buzano_check, coherence, entropy
-from .frames import PARSEVAL_TOL, Frame, gen_fourier_pair, gen_onb, gen_random_parseval
+from .frames import Frame, gen_fourier_pair, gen_onb, gen_random_parseval
 from .module_space import ModuleVector, random_unit_vector
 from .verify_search import (
     NumberTexts,
@@ -123,11 +122,8 @@ def _load_json(path: Path):
         raise ValueError(f"{path}: malformed JSON: {e}") from e
 
 
-def _load_frame(path: Path, *, require_parseval: bool = False) -> Frame:
-    frame = frames_mod.from_json(_load_json(path), what=f"{path}")
-    if require_parseval and not frame.parseval:
-        raise ValueError(f"{path}: frame is not Parseval at tol={PARSEVAL_TOL}")
-    return frame
+def _load_frame(path: Path) -> Frame:
+    return frames_mod.from_json(_load_json(path), what=f"{path}")
 
 
 def _load_vector(path: Path) -> ModuleVector:
@@ -165,14 +161,14 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_entropy(args) -> int:
-    frame = _load_frame(args.frame, require_parseval=True)
+    frame = _load_frame(args.frame)
     x = _load_vector(args.vector)
     ev = entropy(frame, x, strict_unit_frame=args.strict)
     reals = ev.value.values.real
     if args.out is not None:
         _write_json(_resolve(args.out), "entropy", {
             "kind": "entropy",
-            "value": algebra_to_json(ev.value),
+            "value": module_mod.pairs_to_json(ev.value.values),
             "in_domain": ev.in_domain,
             "zero_coefficient_count": ev.zero_coefficient_count,
         })
@@ -190,8 +186,8 @@ def _cmd_coherence(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    frame_a = _load_frame(args.frame_a, require_parseval=True)
-    frame_b = _load_frame(args.frame_b, require_parseval=True)
+    frame_a = _load_frame(args.frame_a)
+    frame_b = _load_frame(args.frame_b)
     report = verify(frame_a, frame_b, _BOUND_ALIASES[args.bound], args.trials, args.seed)
     body = report_to_dict(report)
     if args.out is not None or args.csv is not None:    # encoded once, for report and CSV
@@ -216,8 +212,8 @@ def _cmd_buzano(args) -> int:
 
 
 def _cmd_search(args) -> int:
-    frame_a = _load_frame(args.frame_a, require_parseval=True)
-    frame_b = _load_frame(args.frame_b, require_parseval=True)
+    frame_a = _load_frame(args.frame_a)
+    frame_b = _load_frame(args.frame_b)
     result = minimize_entropy_sum(frame_a, frame_b, _BOUND_ALIASES[args.bound],
                                   restarts=args.restarts, max_iters=args.max_iters,
                                   seed=args.seed)

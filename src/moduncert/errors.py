@@ -25,8 +25,9 @@ def check_tolerance(name: str, value: float) -> None:
 
 
 def check_count(name: str, value: int, low: int) -> None:
-    """Raise ValueError unless value is an integer >= low."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    """Raise ValueError unless value is an integer >= low (JSON's true and false are not)."""
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be >= {low}, got {value}")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, check_count, check_tolerance
-from .module_space import ModuleVector, pairs_from_json, pairs_to_json, vector_header
+from .module_space import ModuleVector, header, pairs_from_json, pairs_to_json
 
 PARSEVAL_TOL = 1e-9
 
@@ -148,20 +148,21 @@ def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     return q
 
 
-def gen_onb(n: int, d: int, seed) -> Frame:
+def gen_onb(n: int, d: int, seed: int) -> Frame:
     """Random orthonormal basis per fiber: rows of an independent Haar unitary."""
     check_count("n", n, 1)
     check_count("d", d, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     rows = np.stack([_haar_unitary(n, rng) for _ in range(d)], axis=0)
     return Frame(np.conj(rows))
 
 
-def gen_random_parseval(n: int, m: int, d: int, seed) -> Frame:
+def gen_random_parseval(n: int, m: int, d: int, seed: int) -> Frame:
     """Random Parseval frame: per fiber, the isometry factor of the polar
     decomposition of an m x n complex Gaussian (rows are the frame vectors)."""
-    for name, value in (("n", n), ("m", m), ("d", d)):
-        check_count(name, value, 1)
+    for name, value, low in (("n", n, 1), ("m", m, 1), ("d", d, 1), ("seed", seed, 0)):
+        check_count(name, value, low)
     if m < n:
         raise ValueError(f"need m >= n for a Parseval frame, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
@@ -211,20 +212,18 @@ def to_json(frame: Frame) -> dict:
 
 
 def from_json(data, *, what: str = "frame") -> Frame:
-    """Decode and validate the Frame JSON encoding."""
-    if not isinstance(data, dict):
-        raise ValueError(f"{what}: expected an object with n, m, d, vectors")
-    for key in ("n", "m", "d", "vectors"):
-        if key not in data:
-            raise ValueError(f"{what}: missing field {key!r}")
-    n, m, d = data["n"], data["m"], data["d"]
+    """Decode and validate the Frame JSON encoding.
+
+    The sizes n, m and d, in the frame's header and in each vector's,
+    must be integers >= 1 (``header``); every vector must have the
+    frame's n and d, and its entries must be [re, im] number pairs.
+    """
+    n, m, d = header(data, ("n", "m", "d", "vectors"), what)
     vecs_json = data["vectors"]
     if not isinstance(vecs_json, list) or len(vecs_json) != m:
         raise ValueError(f"{what}: expected m={m} vectors, got {len(vecs_json) if isinstance(vecs_json, list) else type(vecs_json).__name__}")
-    if m < 1:
-        raise ValueError(f"{what}: a frame needs at least one vector")
     for j, vj in enumerate(vecs_json):
-        shape = vector_header(vj, f"{what}: vector {j}")
+        shape = header(vj, ("n", "d", "entries"), f"{what}: vector {j}")
         if shape != (n, d):
             raise DimensionMismatch(
                 f"{what}: vector {j} has (n={shape[0]}, d={shape[1]}), header says (n={n}, d={d})"

@@ -94,14 +94,15 @@ def is_unit_inner(x: ModuleVector, tol: float = UNIT_TOL) -> bool:
     return bool(np.max(np.abs(gram - 1.0)) <= tol)
 
 
-def random_unit_vector(n: int, d: int, seed) -> ModuleVector:
+def random_unit_vector(n: int, d: int, seed: int) -> ModuleVector:
     """Sample each fiber independently uniform on the unit sphere of C^n.
 
-    Complex-Gaussian then normalize; deterministic given an integer seed.
-    ``seed`` may also be a numpy Generator, which is advanced in place.
+    Complex-Gaussian then normalize; deterministic given the seed, an
+    integer >= 0.
     """
     check_count("n", n, 1)
     check_count("d", d, 1)
+    check_count("seed", seed, 0)
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
     z /= np.sqrt(np.sum(np.abs(z) ** 2, axis=0, keepdims=True))
@@ -190,17 +191,28 @@ def _check_pairs(block, shape: tuple[int, ...], what: str) -> None:
                 raise ValueError(f"{what}: row {i}, fiber {t} is beyond float range") from None
 
 
-def vector_header(data, what: str) -> tuple[int, int]:
-    """Validate the fields of a ModuleVector JSON object; returns (n, d)."""
+def header(data, keys: tuple[str, ...], what: str) -> tuple[int, ...]:
+    """The sizes in a JSON object with the fields ``keys``, checked.
+
+    Every field but the last, which holds the payload, is a size: an
+    integer >= 1 by ``check_count``, so JSON's true and false and floats
+    such as 2.0 are refused.  Raises a ValueError naming ``what`` and the
+    field at fault.
+    """
     if not isinstance(data, dict):
-        raise ValueError(f"{what}: expected an object with n, d, entries")
-    for key in ("n", "d", "entries"):
+        raise ValueError(f"{what}: expected an object with {', '.join(keys)}")
+    for key in keys:
         if key not in data:
             raise ValueError(f"{what}: missing field {key!r}")
-    n, d = data["n"], data["d"]
-    if not (isinstance(n, int) and isinstance(d, int) and n >= 1 and d >= 1):
-        raise ValueError(f"{what}: n and d must be integers >= 1, got n={n!r}, d={d!r}")
-    return n, d
+    sizes = []
+    try:
+        for key in keys[:-1]:
+            size = data[key]
+            check_count(key, size, 1)
+            sizes.append(size)
+    except ValueError as e:
+        raise ValueError(f"{what}: {e}") from None
+    return tuple(sizes)
 
 
 def to_json(x: ModuleVector) -> dict:
@@ -209,6 +221,10 @@ def to_json(x: ModuleVector) -> dict:
 
 
 def from_json(data, *, what: str = "module vector") -> ModuleVector:
-    """Decode and validate the ModuleVector JSON encoding."""
-    n, d = vector_header(data, what)
+    """Decode and validate the ModuleVector JSON encoding.
+
+    The sizes n and d must be integers >= 1 (``header``), and the entries
+    an n x d array of [re, im] number pairs (``pairs_from_json``).
+    """
+    n, d = header(data, ("n", "d", "entries"), what)
     return ModuleVector(pairs_from_json(data["entries"], (n, d), what))

@@ -13,7 +13,7 @@ from moduncert import (
     order_geq,
     zero,
 )
-from moduncert.algebra import add, from_json, mul, to_json
+from moduncert.algebra import add, mul
 
 
 def elem(*vals):
@@ -103,21 +103,6 @@ def test_mul_commutative_and_involution_antimultiplicative(xs, ys):
     lhs = involution(mul(a, b)).values
     rhs = mul(involution(b), involution(a)).values
     assert np.max(np.abs(lhs - rhs)) <= 1e-15 * scale
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=8))
-def test_json_round_trip(xs):
-    a = AlgebraElement(np.array([complex(r, i) for r, i in xs]))
-    back = from_json(to_json(a))
-    assert np.array_equal(back.values, a.values)
-
-
-def test_from_json_diagnostics():
-    with pytest.raises(ValueError, match="entry 1"):
-        from_json([[1.0, 0.0], [1.0]])
-    with pytest.raises(ValueError, match="pairs"):
-        from_json({"not": "a list"})
 
 
 def test_immutability():

@@ -202,6 +202,12 @@ def test_non_parseval_exits_1(tmp_path, pair, capsys):
     code, _, err = run_cli(capsys, "verify", str(corrupt), str(b), "--trials", "5")
     assert code == 1
     assert "not Parseval" in err
+    # entropy leaves the check to the library's entropy(), as verify and search do
+    v = tmp_path / "v.json"
+    assert run_cli(capsys, "gen", "--kind", "unit-vector", "--n", "2", "--out", str(v))[0] == 0
+    code, out, err = run_cli(capsys, "entropy", str(corrupt), str(v))
+    assert code == 1 and out == ""
+    assert "Parseval" in err
 
 
 def test_shape_mismatch_exits_1(tmp_path, pair, capsys):

@@ -17,7 +17,6 @@ from moduncert import (
     restrict_to_fiber,
     scale,
 )
-from moduncert.algebra import from_json as algebra_from_json
 from moduncert.frames import from_json, max_vector_norm, to_json
 from moduncert.module_space import from_json as vector_from_json
 from moduncert.module_space import to_json as vector_to_json
@@ -267,9 +266,26 @@ def _frame_doc(entries_0, entries_1):
     (from_json, _frame_doc([[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[1.0, False]]]),
      "vector 1: row 1, fiber 0"),
     (vector_from_json, {"n": 2, "d": 1, "entries": [[[True, 0.0]], [[0.0, 0.0]]]},
-     "row 0, fiber 0"),
-    (algebra_from_json, [[1.0, 0.0], [True, 0.0]], "entry 1")])
+     "row 0, fiber 0")])
 def test_decoders_refuse_booleans(decode, doc, where):
     # JSON's true and false are not numbers, though NumPy would read them as 1 and 0
     with pytest.raises(ValueError, match=f"{where} is not a \\[re, im\\] pair"):
+        decode(doc)
+
+
+_BASIS = _frame_doc([[[1.0, 0.0]], [[0.0, 0.0]]], [[[0.0, 0.0]], [[1.0, 0.0]]])
+
+
+@pytest.mark.parametrize("decode, doc, where", [
+    (from_json, {**_BASIS, "n": 2.0}, "frame: n"),
+    (from_json, {**_BASIS, "m": 2.0}, "frame: m"),
+    (from_json, {**_BASIS, "d": 1.0}, "frame: d"),
+    (from_json, {**_BASIS, "d": True}, "frame: d"),
+    (from_json, {**_BASIS, "m": True}, "frame: m"),
+    (from_json, {**_BASIS, "vectors": [_BASIS["vectors"][0], {**_BASIS["vectors"][1], "d": True}]},
+     "frame: vector 1: d"),
+    (vector_from_json, {"n": 1, "d": True, "entries": [[[1.0, 0.0]]]}, "module vector: d")])
+def test_decoders_refuse_sizes_that_are_not_integers(decode, doc, where):
+    # JSON's true and 1.0 both equal 1, but neither is an integer size
+    with pytest.raises(ValueError, match=f"^{where} must be an integer, got "):
         decode(doc)

@@ -133,7 +133,10 @@ def test_unit_vector_stream_rejects_bad_arguments():
     (random_unit_vector, (2, 1.5, 0), "d"), (unit_vector_stream, (2.5, 1, 0, 0, 1), "n"),
     (unit_vector_stream, (2, 1, 0, 0.5, 1), "start"),
     (unit_vector_stream, (2, 1, 0, 0, -1), "count"),
-    (identity, (1.5,), "d"), (zero, (True,), "d")])
+    (identity, (1.5,), "d"), (zero, (True,), "d"),
+    (gen_onb, (2, 1, 1.5), "seed"), (random_unit_vector, (2, 1, 1.5), "seed"),
+    (gen_random_parseval, (2, 3, 1, -1), "seed"), (gen_onb, (2, 1, True), "seed"),
+    (random_unit_vector, (2, 1, True), "seed")])
 def test_sizes_must_be_integers(fn, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         fn(*args)
