@@ -1,0 +1,99 @@
+"""Plant one-line defects in the search and check that the test suite kills each.
+
+Each mutant replaces one exact text of a program file in a temporary copy
+of the tree (``src``, ``scripts``, ``tests`` and ``pyproject.toml``) and runs
+``python -m pytest -x tests`` there, with the copy's ``src`` as
+``PYTHONPATH``.  A mutant is killed when pytest fails.  The unmutated copy
+runs first and must pass, so that a broken suite cannot count as a kill.
+
+    python3 mutants/run.py                    # every mutant
+    python3 mutants/run.py argmax flat-steps  # the named ones
+
+Exits 0 when every mutant run was killed, 1 otherwise, and 2 on an unknown
+mutant name.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COPIED = ("src", "scripts", "tests", "pyproject.toml")
+SEARCH = "src/moduncert/verify_search.py"
+
+# name: (file, the exact text to replace, its replacement)
+MUTANTS = {
+    # the search keeps each fiber's worst restart
+    "argmax": (SEARCH, "np.argmin(f.reshape(d, restarts), axis=1)",
+               "np.argmax(f.reshape(d, restarts), axis=1)"),
+    # the descent stops after 20 (or 5) iterations, whatever max_iters says
+    "cap-20": (SEARCH, "    for it in range(max_iters):\n",
+               "    for it in range(min(max_iters, 20)):\n"),
+    "cap-5": (SEARCH, "    for it in range(max_iters):\n",
+              "    for it in range(min(max_iters, 5)):\n"),
+    # Newton steps are never tried
+    "no-newton": (SEARCH, "use_newton = ~flat & (gnorm <= NEWTON_TOL)\n",
+                  "use_newton = np.zeros(gnorm.shape, dtype=bool)\n"),
+    # a flat start (tangent gradient at most GRAD_TOL) takes its step and runs on
+    "flat-steps": (SEARCH, "done = flat | ~ok", "done = ~ok"),
+}
+
+
+def run_suite(mutant: str | None) -> tuple[int, str, float]:
+    """Run pytest on a copy of the tree with `mutant` planted (None: unmutated).
+    Returns pytest's exit code, its first failing test (or its last line) and
+    the wall time in seconds."""
+    with tempfile.TemporaryDirectory(prefix="moduncert-mutant-") as tmp:
+        tree = Path(tmp)
+        for name in COPIED:
+            src = ROOT / name
+            if src.is_dir():
+                shutil.copytree(src, tree / name, ignore=shutil.ignore_patterns("__pycache__"))
+            else:
+                shutil.copy2(src, tree / name)
+        if mutant is not None:
+            path, old, new = MUTANTS[mutant]
+            text = (tree / path).read_text()
+            if text.count(old) != 1:
+                raise SystemExit(f"{mutant}: {old!r} occurs {text.count(old)} times in {path}; "
+                                 "update the mutant")
+            (tree / path).write_text(text.replace(old, new))
+        env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+        t0 = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+                               "tests"], cwd=tree, env=env, capture_output=True, text=True)
+        elapsed = time.perf_counter() - t0
+    lines = proc.stdout.splitlines()
+    failed = [ln for ln in lines if ln.startswith(("FAILED ", "ERROR "))]
+    return proc.returncode, (failed[0] if failed else (lines[-1] if lines else "")), elapsed
+
+
+def main(argv: list[str]) -> int:
+    unknown = [name for name in argv if name not in MUTANTS]
+    if unknown:
+        print(f"unknown mutants {unknown}; known: {', '.join(MUTANTS)}", file=sys.stderr)
+        return 2
+    code, line, elapsed = run_suite(None)
+    print(f"{'unmutated':12} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
+    if code != 0:
+        print("the suite fails on the unmutated tree; no mutant can be judged", file=sys.stderr)
+        return 1
+    survivors = []
+    for name in argv or MUTANTS:
+        code, line, elapsed = run_suite(name)
+        if code == 0:
+            survivors.append(name)
+        print(f"{name:12} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
+    print(f"{len(argv or MUTANTS) - len(survivors)} killed, {len(survivors)} survived"
+          + (f": {', '.join(survivors)}" if survivors else ""))
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

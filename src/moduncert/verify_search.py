@@ -23,9 +23,9 @@ Optimization, 2006, sec. 16.1), taken only when it is a descent direction
 by the angle test, and backtracked by Armijo from step 1; otherwise the
 start keeps its gradient step.  The batch holds the state of the starts
 still running, compacted: a start leaves once, when it stops, and its
-results go to its own index, so a round in which every running start takes
-part needs no gathers.  Entropies use the 0*ln(0) extension so boundary
-infima -- where the sharper bound is attained -- are reachable.
+results go to its own index; only partial Newton tails and Armijo halvings
+gather rows.  Entropies use the 0*ln(0) extension so boundary infima --
+where the sharper bound is attained -- are reachable.
 
 Tolerances are module constants, read at call time from the module that
 defines them: ``VERIFY_GAP_TOL``, ``SEARCH_GAP_TOL`` and ``GRAD_TOL`` here,
@@ -325,9 +325,11 @@ def _descend(pair, fiber, v, max_iters):
 
     The state of the active starts is held compacted: a start leaves the
     active arrays once, at the top of the iteration after it stops, and its
-    results go to its original index then.  A round in which every active
-    row takes part runs on whole arrays; only flat rows, partial Newton tails
-    and Armijo rounds after the first gather rows.
+    results go to its original index then.  Rounds run on whole arrays; only
+    partial Newton tails and the Armijo rounds after the first gather rows.
+    A flat start (tangent gradient at most ``GRAD_TOL``) stops as a refused
+    step: it tries no Newton direction, its Armijo test passes with no
+    halvings, and it stays where it was.
 
     Starts at or near the boundary, where a weight w_j = |c_j|^2 vanishes,
     take the same steps as every other start.  The gradient
@@ -350,52 +352,42 @@ def _descend(pair, fiber, v, max_iters):
     counts = np.zeros((len(v), 3), dtype=np.int64)
     stall, newton, backs = counts.T
     done = np.zeros(len(v), dtype=bool)
-    prev_v, prev_gt = np.zeros(v.shape, dtype=v.dtype), np.zeros(v.shape, dtype=v.dtype)
+    prev_v = prev_gt = v        # no last step: s = 0, so the first trial step is 1
     for it in range(max_iters):
         if np.logical_or.reduce(done):      # the starts that stopped in iteration `it` leave
             leave(done, it, True)
-            orig, mats, v, f, g, counts, prev_v, prev_gt, *terms = (
-                a[~done] for a in (orig, mats, v, f, g, counts, prev_v, prev_gt, *terms))
+            orig, mats, v, f, g, counts, prev_v, prev_gt, done, *terms = (
+                a[~done] for a in (orig, mats, v, f, g, counts, prev_v, prev_gt, done, *terms))
             stall, newton, backs = counts.T
-            done = np.zeros(len(orig), dtype=bool)
             if not orig.size:
                 break
-        rows = slice(None)      # the rows that take a gradient or Newton step
-        vr = v[rows]
-        gt = project_tangent(g[rows][:, :, np.newaxis], vr[:, :, np.newaxis])[:, :, 0]
-        s, y = vr - prev_v[rows], gt - prev_gt[rows]
+        gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
+        s, y = v - prev_v, gt - prev_gt
         gsq, ss, sy = _re_inner(np.array([gt, s, s]), np.array([gt, s, y]))
         gnorm = np.sqrt(gsq)
-        flat = gnorm <= GRAD_TOL
-        if np.logical_or.reduce(flat):
-            done |= flat
-            rows = (~flat).nonzero()[0]
-            if not rows.size:
-                continue
-            vr, gt, gsq, ss, sy, gnorm = (a[~flat] for a in (vr, gt, gsq, ss, sy, gnorm))
-        # Barzilai-Borwein trial step <s,s>/Re<s,y>, or 1 with no usable last step;
-        # every start still running after the first iteration stepped in the last one
+        flat = gnorm <= GRAD_TOL        # converged: its step is refused below
+        # Barzilai-Borwein trial step <s,s>/Re<s,y>, or 1 with no usable last step
         alpha = np.minimum(np.maximum(
-            np.divide(ss, sy, out=np.ones(ss.shape), where=(sy > 0) & (it > 0)), 1e-8), 1e8)
-        prev_v[rows], prev_gt[rows] = vr, gt
+            np.divide(ss, sy, out=np.ones(ss.shape), where=sy > 0), 1e-8), 1e8)
+        prev_v, prev_gt = v, gt
         # direction d and slope Re<gt, d>: the gradient's, or in the quadratic
         # tail the Newton direction's where it passes the angle test, from step 1
-        mats_r, fr, d, slope = mats[rows], f[rows], -gt, -gsq
-        use_newton = gnorm <= NEWTON_TOL
+        d, slope = -gt, -gsq
+        use_newton = ~flat & (gnorm <= NEWTON_TOL)
         if np.logical_or.reduce(use_newton):
             t = slice(None) if np.logical_and.reduce(use_newton) else use_newton.nonzero()[0]
-            eta = _newton(mats_r[t], vr[t], g[rows][t], gt[t], [x[rows][t] for x in terms])
+            eta = _newton(mats[t], v[t], g[t], gt[t], [x[t] for x in terms])
             eg, ee = _re_inner(np.array([gt[t], eta]), np.array([eta, eta]))
             use_newton[t] = ok = eg <= -1e-6 * np.sqrt(gsq[t] * ee)
             d[use_newton], slope[use_newton], alpha[use_newton] = eta[ok], eg[ok], 1.0
         # Armijo backtracking per start: the first trial on every row at once,
-        # then halvings on the rows still pending
-        u = _normalize(vr + alpha[:, np.newaxis] * d)
-        fu, new = _evaluate(mats_r, u)
-        ok = fu <= fr + 1e-4 * alpha * slope
+        # then halvings on the rows still pending; a flat start passes with none
+        u = _normalize(v + alpha[:, np.newaxis] * d)
+        fu, new = _evaluate(mats, u)
+        ok = (fu <= f + 1e-4 * alpha * slope) | flat
         if not np.logical_and.reduce(ok):
             pending, halvings = (~ok).nonzero()[0], np.where(ok, 0, 59)
-            pv, pd, pa, pf, ps, pm = (a[pending] for a in (vr, d, alpha, fr, slope, mats_r))
+            pv, pd, pa, pf, ps, pm = (a[pending] for a in (v, d, alpha, f, slope, mats))
             for halved in range(1, 60):
                 pa = pa * 0.5
                 up = _normalize(pv + pa[:, np.newaxis] * pd)
@@ -410,17 +402,14 @@ def _descend(pair, fiber, v, max_iters):
                         break
                     pending, pv, pd, pa, pf, ps, pm = (
                         a[~okp] for a in (pending, pv, pd, pa, pf, ps, pm))
-            backs[rows] += halvings
-            u[~ok], fu[~ok] = vr[~ok], fr[~ok]      # no descent: these stop here
-            done[rows] |= ~ok
-        slow = fr - fu <= 1e-13 * np.maximum(1.0, np.abs(fu))
-        v[rows], f[rows] = u, fu
-        for store, x in zip(terms, new):
-            store[rows] = x
-        g[rows] = _gradient(mats_r, new)
-        newton[rows] += use_newton & ok
-        stall[rows] = np.where(slow, stall[rows] + 1, 0)
-        done[rows] |= stall[rows] >= 8
+            backs += halvings
+        done = flat | ~ok       # a refused step, or no descent: these stop where they are
+        u[done], fu[done] = v[done], f[done]
+        slow = f - fu <= 1e-13 * np.maximum(1.0, np.abs(fu))
+        v, f, terms, g = u, fu, new, _gradient(mats, new)
+        newton += use_newton & ~done
+        stall[:] = np.where(slow, stall + 1, 0)
+        done |= stall >= 8
     leave(slice(None), max_iters, done)
     return out_v, out_f, out_iters, out_conv, *out_counts.T[1:]
 

@@ -306,6 +306,18 @@ def test_descent_results_leave_at_each_start_s_own_index(max_iters):
             assert np.array_equal(got[0], want[b])
 
 
+def test_descent_of_a_batch_in_which_every_start_is_flat():
+    # converged starts fed back in: each stops in its first round where it was,
+    # with no Newton step and no halving
+    fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
+    pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
+    fiber = np.arange(6) % 2
+    v = verify_search._descend(pair, fiber, unit_vector_stream(3, 1, 141, 0, 6)[:, :, 0], 2000)[0]
+    out_v, _f, iters, conv, newton, backtracks = verify_search._descend(pair, fiber, v, 2000)
+    assert np.all(iters == 1) and conv.all() and not newton.any() and not backtracks.any()
+    assert np.array_equal(out_v, verify_search._normalize(v))
+
+
 def test_newton_direction_is_horizontal_and_solves_the_projected_system():
     rng = np.random.default_rng(151)
     for k in range(60):
@@ -394,6 +406,30 @@ def test_runs_at_max_iters_counts_every_capped_run():
     full = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=4, max_iters=2000, seed=5)
     assert full.runs_at_max_iters == 0 and full.converged
 
+
+def test_search_keeps_each_fiber_s_best_restart():
+    # restart r of fiber t is the one-restart search on the restricted frames
+    # seeded seed ^ (t*restarts + r); these fibers have 3 to 6 distinct minima,
+    # so a search that kept another restart would report a higher minimum
+    fa, fb = gen_random_parseval(6, 10, 4, 111), gen_random_parseval(6, 10, 4, 112)
+    res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=8, seed=3)
+    minima = np.empty((4, 8))
+    for t in range(4):
+        fa_t, fb_t = restrict_to_fiber(fa, t), restrict_to_fiber(fb, t)
+        for r in range(8):
+            sub = minimize_entropy_sum(fa_t, fb_t, "maassen_uffink", restarts=1,
+                                       seed=3 ^ (t * 8 + r))
+            minima[t, r] = sub.best_gap + sub.bound_value
+    assert np.all(minima.max(axis=1) - minima.min(axis=1) > 0.1)
+    assert res.best_gap + res.bound_value == pytest.approx(minima.min(), abs=1e-12)
+
+
+def test_search_runs_each_start_up_to_max_iters():
+    # some start of this pair needs more than 20 iterations, and none needs 2000
+    fa, fb = gen_random_parseval(6, 10, 4, 111), gen_random_parseval(6, 10, 4, 112)
+    res = minimize_entropy_sum(fa, fb, "maassen_uffink", restarts=8, max_iters=2000, seed=3)
+    assert max(res.iterations_per_start) > 20
+    assert res.runs_at_max_iters == 0 and res.converged
 
 def _binary_entropy(p):
     """-p ln p - (1-p) ln(1-p) with 0 ln 0 = 0, elementwise."""
