@@ -1,10 +1,11 @@
-"""Plant one-line defects in the search and check that the test suite kills each.
+"""Plant one-line defects in the program and check that the test suite kills each.
 
 Each mutant replaces one exact text of a program file in a temporary copy
 of the tree (``src``, ``scripts``, ``tests`` and ``pyproject.toml``) and runs
-``python -m pytest -x tests`` there, with the copy's ``src`` as
-``PYTHONPATH``.  A mutant is killed when pytest fails.  The unmutated copy
-runs first and must pass, so that a broken suite cannot count as a kill.
+``python -m pytest -x tests`` there, leaving out ``tests/test_mutants.py``,
+with the copy's ``src`` as ``PYTHONPATH``.  A mutant is killed when pytest
+fails.  The unmutated copy runs first and must pass, so that a broken suite
+cannot count as a kill.
 
     python3 mutants/run.py                    # every mutant
     python3 mutants/run.py argmax flat-steps  # the named ones
@@ -42,7 +43,19 @@ MUTANTS = {
                   "use_newton = np.zeros(gnorm.shape, dtype=bool)\n"),
     # a flat start (tangent gradient at most GRAD_TOL) takes its step and runs on
     "flat-steps": (SEARCH, "done = flat | ~ok", "done = ~ok"),
+    # frames with a Parseval defect up to 1e-2 pass as Parseval
+    "parseval-tol": ("src/moduncert/frames.py", "PARSEVAL_TOL = 1e-9\n",
+                     "PARSEVAL_TOL = 1e-2\n"),
+    # verify flags only gaps below -1e-3
+    "verify-threshold": (SEARCH, "np.nonzero(gaps < -VERIFY_GAP_TOL)",
+                         "np.nonzero(gaps < -1e-3)"),
+    # the right side of Buzano's inequality, and so of the proof chain, is 1.2 times too large
+    "buzano-rhs": ("src/moduncert/entropy_bounds.py", "    rhs = 0.5 * (",
+                   "    rhs = 1.2 * 0.5 * ("),
 }
+# The test of this file's texts reads the unmutated tree; on a mutated copy it
+# would fail on every mutant, so the copies do not run it.
+OWN_TEST = "tests/test_mutants.py"
 
 
 def run_suite(mutant: str | None) -> tuple[int, str, float]:
@@ -67,7 +80,8 @@ def run_suite(mutant: str | None) -> tuple[int, str, float]:
         env = dict(os.environ, PYTHONPATH=str(tree / "src"))
         t0 = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                               "tests"], cwd=tree, env=env, capture_output=True, text=True)
+                               f"--ignore={OWN_TEST}", "tests"],
+                              cwd=tree, env=env, capture_output=True, text=True)
         elapsed = time.perf_counter() - t0
     lines = proc.stdout.splitlines()
     failed = [ln for ln in lines if ln.startswith(("FAILED ", "ERROR "))]
@@ -80,7 +94,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants {unknown}; known: {', '.join(MUTANTS)}", file=sys.stderr)
         return 2
     code, line, elapsed = run_suite(None)
-    print(f"{'unmutated':12} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
+    print(f"{'unmutated':16} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
     if code != 0:
         print("the suite fails on the unmutated tree; no mutant can be judged", file=sys.stderr)
         return 1
@@ -89,7 +103,7 @@ def main(argv: list[str]) -> int:
         code, line, elapsed = run_suite(name)
         if code == 0:
             survivors.append(name)
-        print(f"{name:12} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
+        print(f"{name:16} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
     print(f"{len(argv or MUTANTS) - len(survivors)} killed, {len(survivors)} survived"
           + (f": {', '.join(survivors)}" if survivors else ""))
     return 1 if survivors else 0

@@ -4,9 +4,11 @@ Every run is fully specified by its command line (flags only, no config
 files), and every artifact is JSON with complex numbers as [re, im]
 pairs, so runs diff cleanly.  A verify run encodes its per-trial columns
 once (``NumberTexts``) and lays out both its report and its CSV from those
-texts.  Exit codes: 0 success and no violations, 1 usage or I/O error,
-2 inequality violation or counterexample candidate (a machine-checkable
-signal for CI).
+texts.  Count and seed flags are plain ints whose ranges the library
+function each command calls checks before anything is written, so a bad
+value exits 1 with the library's message.  Exit codes: 0 success and no
+violations, 1 usage or I/O error, 2 inequality violation or counterexample
+candidate (a machine-checkable signal for CI).
 """
 
 from __future__ import annotations
@@ -47,17 +49,6 @@ OUT_DIR_ENV = "MODUNCERT_OUT_DIR"
 _GEN_KINDS = ("onb", "random-parseval", "fourier-pair", "unit-vector")
 _BOUND_ALIASES = {"deutsch": "deutsch", "maassen-uffink": "maassen_uffink",
                   "maassen_uffink": "maassen_uffink"}
-
-
-def _at_least(low: int):
-    """argparse type: an integer >= low."""
-    def check(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
-        return value
-    check.__name__ = "int"   # argparse names the type in "invalid int value"
-    return check
 
 
 def _resolve(path: Path) -> Path:
@@ -260,10 +251,10 @@ def _cmd_campaign(args) -> int:
 
 
 def _cmd_chain(args) -> int:
-    ok = proof_chain_check(_load_frame(args.frame_a), _load_frame(args.frame_b),
-                           _load_vector(args.x))
-    print(f"chain: holds={str(ok).lower()}")
-    return EXIT_OK if ok else EXIT_VIOLATION
+    res = proof_chain_check(_load_frame(args.frame_a), _load_frame(args.frame_b),
+                            _load_vector(args.x))
+    print(f"chain: holds={str(res.holds).lower()}")
+    return EXIT_OK if res.holds else EXIT_VIOLATION
 
 
 @functools.cache
@@ -288,16 +279,16 @@ def build_parser() -> argparse.ArgumentParser:
         if out:
             p.add_argument("--out", type=Path, default=None, help="output JSON path")
         if seed:
-            p.add_argument("--seed", type=_at_least(0), default=1)
+            p.add_argument("--seed", type=int, default=1)
         return p
 
     p = add_command("gen", _cmd_gen, "generate frames or unit vectors", out=False)
     p.add_argument("--out", type=Path, required=True, help="output JSON path or directory")
-    p.add_argument("--seed", type=_at_least(0), default=None)   # 1 where it applies
+    p.add_argument("--seed", type=int, default=None)   # 1 where it applies
     p.add_argument("--kind", choices=_GEN_KINDS, required=True)
-    p.add_argument("--n", type=_at_least(1), required=True)
-    p.add_argument("--m", type=_at_least(1), default=None)
-    p.add_argument("--d", type=_at_least(1), default=1)
+    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--m", type=int, default=None)
+    p.add_argument("--d", type=int, default=1)
 
     p = add_command("entropy", _cmd_entropy, "modular Shannon entropy of a vector in a frame",
                     "frame", "vector")
@@ -310,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("verify", _cmd_verify, "Monte Carlo check of an uncertainty bound",
                     "frame_a", "frame_b", seed=True)
     p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="deutsch")
-    p.add_argument("--trials", type=_at_least(1), default=1000)
+    p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--csv", type=Path, default=None, help="per-trial CSV path")
 
     add_command("buzano", _cmd_buzano, "evaluate both sides of the Buzano inequality",
@@ -319,17 +310,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = add_command("search", _cmd_search, "minimize the entropy sum against a bound",
                     "frame_a", "frame_b", seed=True)
     p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="maassen-uffink")
-    p.add_argument("--restarts", type=_at_least(1), default=32)
-    p.add_argument("--max-iters", type=_at_least(1), default=2000)
+    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--max-iters", type=int, default=2000)
 
     p = add_command("campaign", _cmd_campaign,
                     "search random frame pairs against the coherence bound", seed=True)
-    p.add_argument("--pairs", type=_at_least(1), default=50)
-    p.add_argument("--restarts", type=_at_least(1), default=32)
-    p.add_argument("--max-iters", type=_at_least(1), default=2000)
-    p.add_argument("--n-max", type=_at_least(2), default=6)
-    p.add_argument("--m-max", type=_at_least(2), default=10)
-    p.add_argument("--d-max", type=_at_least(1), default=4)
+    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--restarts", type=int, default=32)
+    p.add_argument("--max-iters", type=int, default=2000)
+    p.add_argument("--n-max", type=int, default=6)
+    p.add_argument("--m-max", type=int, default=10)
+    p.add_argument("--d-max", type=int, default=4)
 
     add_command("chain", _cmd_chain, "check the pairwise product bound behind the proof",
                 "frame_a", "frame_b", "x", out=False)

@@ -117,26 +117,12 @@ def reconstruct(frame: Frame, x: ModuleVector) -> ModuleVector:
     return ModuleVector(out[:, :, 0].T)
 
 
-def _self_inner(frame: Frame) -> np.ndarray:
-    """<tau_j, tau_j>(t) for every fiber and vector, shape (d, m)."""
-    a = frame.analysis
-    return np.sum(a.real ** 2 + a.imag ** 2, axis=2)
-
-
 def has_unit_inner_products(frame: Frame, tol: float = 1e-9) -> bool:
     """True iff <tau_j, tau_j> = 1 for every j."""
     check_tolerance("tol", tol)
-    return bool(np.max(np.abs(_self_inner(frame) - 1.0)) <= tol)
-
-
-def vector_norms(frame: Frame) -> np.ndarray:
-    """||tau_j|| for every j, shape (m,): the max over fibers of |tau_j(t)|."""
-    return np.sqrt(np.max(_self_inner(frame), axis=0))
-
-
-def max_vector_norm(frame: Frame) -> float:
-    """max_j ||tau_j||; at most 1 (up to tolerance) for Parseval frames."""
-    return float(np.max(vector_norms(frame)))
+    a = frame.analysis
+    self_inner = np.sum(a.real ** 2 + a.imag ** 2, axis=2)     # <tau_j, tau_j>(t), (d, m)
+    return bool(np.max(np.abs(self_inner - 1.0)) <= tol)
 
 
 def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

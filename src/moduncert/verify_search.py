@@ -54,8 +54,9 @@ import numpy as np
 from . import entropy_bounds
 from .algebra import add as algebra_add
 from .entropy_bounds import (
+    BuzanoResult,
+    buzano_check,
     coherence,
-    cross_inner_norms,
     deutsch_bound,
     entropy,
     entropy_gradient,
@@ -66,7 +67,7 @@ from .entropy_bounds import (
     project_tangent,
 )
 from .errors import PreconditionError, check_count
-from .frames import PARSEVAL_TOL, Frame, check_pair_shape, check_vector_shape, vector_norms
+from .frames import PARSEVAL_TOL, Frame, check_pair_shape, check_vector_shape
 from .frames import gen_random_parseval
 from .frames import to_json as frame_to_json
 from .module_space import (
@@ -436,7 +437,9 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     # start t*restarts + r runs on fiber t from the vector seeded seed ^ that index
     starts = np.stack([random_unit_vector(n, 1, seed ^ unit).entries[:, 0]
                        for unit in range(d * restarts)])
-    pair = np.stack([frame_a.analysis, frame_b.analysis], axis=1)      # (d, 2, m, n)
+    # (d, 2, max m, n): the shorter frame's extra rows are zero, weight 0 and no term
+    pair = np.zeros((d, 2, max(frame_a.m, frame_b.m), n), dtype=np.complex128)
+    pair[:, 0, :frame_a.m], pair[:, 1, :frame_b.m] = frame_a.analysis, frame_b.analysis
     v, f, iters, conv, newton, backtracks = _descend(
         pair, np.repeat(np.arange(d), restarts), starts, max_iters)
     best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)
@@ -564,23 +567,21 @@ def search_result_to_dict(result: SearchResult) -> dict:
     }
 
 
-def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector) -> bool:
+def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector) -> BuzanoResult:
     """Check the pairwise product bound the uncertainty proof passes through
     the monotone logarithm:
 
         ||<tau_j, x><x, omega_k>|| <= (||tau_j|| ||omega_k|| + ||<tau_j, omega_k>||)/2
 
-    for every (j, k), with x of unit inner product, up to
-    ``INEQUALITY_TOL`` of slack.
+    for every (j, k), with x of unit inner product.  Each pair is Buzano's
+    inequality, ``buzano_check(tau_j, omega_k, x)``; the result is that of
+    the pair with the largest lhs - rhs, which holds exactly when every
+    pair holds.
     """
     if not is_unit_inner(x):
         raise PreconditionError("proof_chain_check needs a unit inner product x")
     check_vector_shape(frame_a, x)
     check_pair_shape(frame_a, frame_b)
-    # |<tau_j, x>(t)| = |<x, tau_j>(t)|, and the analysis arrays give the latter.
-    xs = fiber_columns(x.entries)
-    ca, cb = (np.abs(entropy_terms(fr.analysis, xs)[0][..., 0]) for fr in (frame_a, frame_b))
-    lhs = np.max(ca[:, :, np.newaxis] * cb[:, np.newaxis, :], axis=0)   # (m_a, m_b)
-    rhs = 0.5 * (np.outer(vector_norms(frame_a), vector_norms(frame_b))
-                 + cross_inner_norms(frame_a, frame_b))
-    return bool(np.all(lhs <= rhs + entropy_bounds.INEQUALITY_TOL))
+    omegas = frame_b.vectors
+    return max((buzano_check(tau, omega, x) for tau in frame_a.vectors for omega in omegas),
+               key=lambda res: res.lhs - res.rhs)

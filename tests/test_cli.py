@@ -210,6 +210,26 @@ def test_non_parseval_exits_1(tmp_path, pair, capsys):
     assert "Parseval" in err
 
 
+def test_a_parseval_defect_of_1e_6_exits_1(tmp_path, pair, capsys):
+    a, b = pair
+    doc = json.loads(a.read_text())
+    for vec in doc["vectors"]:
+        vec["entries"] = [[[(1 + 5e-7) * part for part in z] for z in row]
+                          for row in vec["entries"]]
+    scaled = tmp_path / "scaled.json"
+    scaled.write_text(json.dumps(doc))
+    # (1 + 5e-7)^2 - 1 is about 1e-6, far above PARSEVAL_TOL
+    assert is_parseval(frames_mod.from_json(doc), 2e-6)
+    v = tmp_path / "v.json"
+    assert run_cli(capsys, "gen", "--kind", "unit-vector", "--n", "2", "--out", str(v))[0] == 0
+    for argv in (("verify", str(scaled), str(b), "--trials", "5"),
+                 ("search", str(b), str(scaled), "--restarts", "1"),
+                 ("entropy", str(scaled), str(v))):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, ""), argv[0]
+        assert err.startswith("error: ") and "Parseval" in err, argv[0]
+
+
 def test_shape_mismatch_exits_1(tmp_path, pair, capsys):
     a, _ = pair
     code, _, _ = run_cli(capsys, "gen", "--kind", "onb", "--n", "3", "--d", "1",
@@ -221,12 +241,17 @@ def test_shape_mismatch_exits_1(tmp_path, pair, capsys):
     assert "mismatch" in err
 
 
-def test_usage_error_exits_1(capsys):
+def test_usage_error_exits_1(pair, capsys):
     assert run_cli(capsys, "verify")[0] == 1
     assert run_cli(capsys, "gen", "--kind", "nope", "--n", "2", "--out", "x")[0] == 1
-    assert run_cli(capsys, "verify", "a", "b", "--trials", "0")[0] == 1
-    code, _, err = run_cli(capsys, "verify", "a", "b", "--seed", "-1")
-    assert code == 1 and "--seed: must be >= 0" in err
+    # count and seed ranges are the library's checks, with its messages
+    a, b = (str(p) for p in pair)
+    for flags, message in ((("--trials", "0"), "trials must be >= 1, got 0"),
+                           (("--seed", "-1"), "seed must be an integer in [0, 2**64), got -1"),
+                           (("--seed", str(2 ** 64)),
+                            f"seed must be an integer in [0, 2**64), got {2 ** 64}")):
+        code, out, err = run_cli(capsys, "verify", a, b, *flags)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_gen_rejects_flags_that_do_not_apply(tmp_path, capsys):

@@ -92,6 +92,23 @@ def test_verify_report_bookkeeping(monkeypatch):
     assert set(bad.boundary_graze_trials) == flagged
 
 
+def test_verify_reports_a_gap_just_below_the_threshold(monkeypatch):
+    # raising the bound by min_gap + 1e-6 puts the arg-min trial's worst fiber
+    # at a gap of -1e-6, a violation however little it misses the bound by
+    fa, fb = gen_random_parseval(6, 10, 4, 3), gen_random_parseval(6, 10, 4, 4)
+    base = verify(fa, fb, "deutsch", trials=256, seed=5)
+    worst = int(np.argmin(base.trial_gaps))
+    at = (worst, int(base.trial_worst_fiber[worst]))
+    raise_by = base.min_gap + 1e-6
+    bound_value_for = verify_search.bound_value_for
+    monkeypatch.setattr(verify_search, "bound_value_for",
+                        lambda kind, mu: bound_value_for(kind, mu) + raise_by)
+    rep = verify(fa, fb, "deutsch", trials=256, seed=5)
+    gaps = [g for (t, f, g) in rep.violations if (t, f) == at]
+    assert len(gaps) == 1
+    assert abs(gaps[0] + 1e-6) <= 1e-9
+
+
 def test_verify_trial_replay():
     fa = gen_random_parseval(3, 5, 2, 41)
     fb = gen_random_parseval(3, 5, 2, 42)
@@ -431,6 +448,22 @@ def test_search_runs_each_start_up_to_max_iters():
     assert max(res.iterations_per_start) > 20
     assert res.runs_at_max_iters == 0 and res.converged
 
+
+def test_search_on_frames_with_different_m():
+    # the shorter frame's rows are padded with zeros, which carry no weight, so
+    # the search equals the one on the pair whose shorter frame has those rows
+    onb, fb = gen_onb(3, 2, 1), gen_random_parseval(3, 5, 2, 2)
+    padded = Frame(np.concatenate([onb.analysis, np.zeros((2, 2, 3))], axis=1))
+    for pair in ((onb, fb), (fb, onb)):
+        res = minimize_entropy_sum(*pair, "maassen_uffink", restarts=8, seed=4)
+        same = minimize_entropy_sum(*(padded if fr is onb else fr for fr in pair),
+                                    "maassen_uffink", restarts=8, seed=4)
+        assert res.best_gap == same.best_gap and res.best_gap > 0
+        assert np.array_equal(res.best_x.entries, same.best_x.entries)
+        assert res.iterations_per_start == same.iterations_per_start
+        assert res.best_gap <= verify(*pair, "maassen_uffink", trials=2000, seed=4).min_gap
+
+
 def _binary_entropy(p):
     """-p ln p - (1-p) ln(1-p) with 0 ln 0 = 0, elementwise."""
     out = np.zeros_like(p)
@@ -578,14 +611,16 @@ def test_proof_chain_random():
         fa = gen_random_parseval(n, m, d, int(rng.integers(0, 2 ** 31)))
         fb = gen_random_parseval(n, m, d, int(rng.integers(0, 2 ** 31)))
         x = random_unit_vector(n, d, int(rng.integers(0, 2 ** 31)))
-        assert proof_chain_check(fa, fb, x)
+        assert proof_chain_check(fa, fb, x).holds
 
 
 def test_proof_chain_saturation():
     fr = gen_onb(2, 1, 13)
     x = fr.vectors[0]
     # pair (1,1): lhs = |<t_1,x>|^2 = 1 and rhs = (1*1 + 1)/2 = 1
-    assert proof_chain_check(fr, fr, x)
+    res = proof_chain_check(fr, fr, x)
+    assert res.holds
+    assert abs(res.lhs - res.rhs) <= 1e-12
     ca = np.abs(np.einsum("tji,it->jt", fr.analysis, x.entries))
     assert ca[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -595,7 +630,7 @@ def test_proof_chain_mixed_fibers():
     mixed_a = Frame(np.concatenate([fra.analysis, fra.analysis]))
     mixed_b = Frame(np.concatenate([fra.analysis, frb.analysis]))
     x = random_unit_vector(2, 2, 5)
-    assert proof_chain_check(mixed_a, mixed_b, x)
+    assert proof_chain_check(mixed_a, mixed_b, x).holds
 
 
 def test_proof_chain_requires_unit_x():
