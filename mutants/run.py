@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "scripts", "tests", "pyproject.toml")
 SEARCH = "src/moduncert/verify_search.py"
+BOUNDS = "src/moduncert/entropy_bounds.py"
 
 # name: (file, the exact text to replace, its replacement)
 MUTANTS = {
@@ -50,8 +51,25 @@ MUTANTS = {
     "verify-threshold": (SEARCH, "np.nonzero(gaps < -VERIFY_GAP_TOL)",
                          "np.nonzero(gaps < -1e-3)"),
     # the right side of Buzano's inequality, and so of the proof chain, is 1.2 times too large
-    "buzano-rhs": ("src/moduncert/entropy_bounds.py", "    rhs = 0.5 * (",
-                   "    rhs = 1.2 * 0.5 * ("),
+    "buzano-rhs": (BOUNDS, "    rhs = 0.5 * (", "    rhs = 1.2 * 0.5 * ("),
+    # verify looks at fiber 0 only
+    "verify-fiber-0": (SEARCH, "gaps = (sa + sb) - bound", "gaps = ((sa + sb) - bound)[:, :1]"),
+    # the coherence is a mean over fibers, or 1 % too large
+    "coherence-mean": (BOUNDS, "return np.max(np.abs(gram), axis=0)",
+                       "return np.mean(np.abs(gram), axis=0)"),
+    "coherence-1pct": (BOUNDS, "return float(np.max(cross_inner_norms(frame_a, frame_b)))",
+                       "return 1.01 * float(np.max(cross_inner_norms(frame_a, frame_b)))"),
+    # weights up to 1e-4 count as zero
+    "zero-tol": (BOUNDS, "ZERO_TOL = 1e-12\n", "ZERO_TOL = 1e-4\n"),
+    # the Deutsch bound loosened by 5 %, the Maassen-Uffink bound by 1e-4 or 1 %
+    "deutsch-5pct": (BOUNDS, "return -2.0 * math.log((1.0 + mu) / 2.0)",
+                     "return 0.95 * -2.0 * math.log((1.0 + mu) / 2.0)"),
+    "mu-1e-4": (BOUNDS, "return -2.0 * math.log(mu)\n", "return -2.0 * math.log(mu) - 1e-4\n"),
+    "mu-1pct": (BOUNDS, "return -2.0 * math.log(mu)\n", "return 0.99 * -2.0 * math.log(mu)\n"),
+    # the descent stops at a tangent gradient norm of 1e-2
+    "grad-tol": (SEARCH, "GRAD_TOL = 1e-8 ", "GRAD_TOL = 1e-2 "),
+    # the replayed gap is taken at the best fiber instead of the worst
+    "replay-best-fiber": (SEARCH, "np.min(total.values.real)", "np.max(total.values.real)"),
 }
 # The test of this file's texts reads the unmutated tree; on a mutated copy it
 # would fail on every mutant, so the copies do not run it.
@@ -94,7 +112,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants {unknown}; known: {', '.join(MUTANTS)}", file=sys.stderr)
         return 2
     code, line, elapsed = run_suite(None)
-    print(f"{'unmutated':16} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
+    print(f"{'unmutated':17} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
     if code != 0:
         print("the suite fails on the unmutated tree; no mutant can be judged", file=sys.stderr)
         return 1
@@ -103,7 +121,7 @@ def main(argv: list[str]) -> int:
         code, line, elapsed = run_suite(name)
         if code == 0:
             survivors.append(name)
-        print(f"{name:16} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
+        print(f"{name:17} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
     print(f"{len(argv or MUTANTS) - len(survivors)} killed, {len(survivors)} survived"
           + (f": {', '.join(survivors)}" if survivors else ""))
     return 1 if survivors else 0

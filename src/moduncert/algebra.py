@@ -7,7 +7,7 @@ commutative unital C*-algebra, so nothing here is an approximation.
 
 No functional calculus is provided: the entropy layer takes its
 logarithms (with the 0 ln 0 = 0 convention) on the weights directly.
-All operations are pure functions on immutable values.
+Elements are immutable, and +, - and * on them return new elements.
 """
 
 from __future__ import annotations
@@ -40,14 +40,18 @@ class AlgebraElement:
         return self.values.shape[0]
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return add(self, other)
+        _check_same_d(self, other)
+        return AlgebraElement(self.values + other.values)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return sub(self, other)
+        _check_same_d(self, other)
+        return AlgebraElement(self.values - other.values)
 
     def __mul__(self, other) -> "AlgebraElement":
+        """Pointwise product with an element, commutative by construction, or a scalar."""
         if isinstance(other, AlgebraElement):
-            return mul(self, other)
+            _check_same_d(self, other)
+            return AlgebraElement(self.values * other.values)
         return AlgebraElement(self.values * complex(other))
 
     __rmul__ = __mul__
@@ -73,22 +77,6 @@ def zero(d: int) -> AlgebraElement:
     return AlgebraElement(np.zeros(d, dtype=np.complex128))
 
 
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_d(a, b)
-    return AlgebraElement(a.values + b.values)
-
-
-def sub(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_d(a, b)
-    return AlgebraElement(a.values - b.values)
-
-
-def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Pointwise product; commutative by construction."""
-    _check_same_d(a, b)
-    return AlgebraElement(a.values * b.values)
-
-
 def involution(a: AlgebraElement) -> AlgebraElement:
     """The *-operation: pointwise complex conjugation."""
     return AlgebraElement(np.conj(a.values))
@@ -108,5 +96,4 @@ def is_positive(a: AlgebraElement, tol: float = POSITIVITY_TOL) -> bool:
 
 def order_geq(a: AlgebraElement, b: AlgebraElement, tol: float = POSITIVITY_TOL) -> bool:
     """The C*-order: a >= b iff a - b is positive."""
-    _check_same_d(a, b)
-    return is_positive(sub(a, b), tol)
+    return is_positive(a - b, tol)

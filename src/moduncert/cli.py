@@ -26,7 +26,7 @@ from . import frames as frames_mod
 from . import module_space as module_mod
 from . import verify_search as search_mod
 from .entropy_bounds import buzano_check, coherence, entropy
-from .frames import Frame, gen_fourier_pair, gen_onb, gen_random_parseval
+from .frames import Frame, gen_fourier_pair, gen_random_parseval
 from .module_space import ModuleVector, random_unit_vector
 from .verify_search import (
     NumberTexts,
@@ -47,8 +47,6 @@ EXIT_VIOLATION = 2
 OUT_DIR_ENV = "MODUNCERT_OUT_DIR"
 
 _GEN_KINDS = ("onb", "random-parseval", "fourier-pair", "unit-vector")
-_BOUND_ALIASES = {"deutsch": "deutsch", "maassen-uffink": "maassen_uffink",
-                  "maassen_uffink": "maassen_uffink"}
 
 
 def _resolve(path: Path) -> Path:
@@ -135,11 +133,8 @@ def _cmd_gen(args) -> int:
             _write_json(out / name, "gen", frames_mod.to_json(fr))
         print(f"wrote {out / 'a.json'} {out / 'b.json'} (fourier-pair n={args.n} d={args.d})")
         return EXIT_OK
-    if args.kind == "onb":
-        body, default_name = frames_mod.to_json(gen_onb(args.n, args.d, seed)), "frame.json"
-    elif args.kind == "random-parseval":
-        m = args.m if args.m is not None else args.n
-        fr = gen_random_parseval(args.n, m, args.d, seed)
+    if args.kind in ("onb", "random-parseval"):     # an ONB is the m = n Parseval frame
+        fr = gen_random_parseval(args.n, args.n if args.m is None else args.m, args.d, seed)
         body, default_name = frames_mod.to_json(fr), "frame.json"
     else:
         x = random_unit_vector(args.n, args.d, seed)
@@ -179,7 +174,7 @@ def _cmd_coherence(args) -> int:
 def _cmd_verify(args) -> int:
     frame_a = _load_frame(args.frame_a)
     frame_b = _load_frame(args.frame_b)
-    report = verify(frame_a, frame_b, _BOUND_ALIASES[args.bound], args.trials, args.seed)
+    report = verify(frame_a, frame_b, args.bound.replace("-", "_"), args.trials, args.seed)
     body = report_to_dict(report)
     if args.out is not None or args.csv is not None:    # encoded once, for report and CSV
         for key in ("trial_gaps", "trial_worst_fiber"):
@@ -205,7 +200,7 @@ def _cmd_buzano(args) -> int:
 def _cmd_search(args) -> int:
     frame_a = _load_frame(args.frame_a)
     frame_b = _load_frame(args.frame_b)
-    result = minimize_entropy_sum(frame_a, frame_b, _BOUND_ALIASES[args.bound],
+    result = minimize_entropy_sum(frame_a, frame_b, args.bound.replace("-", "_"),
                                   restarts=args.restarts, max_iters=args.max_iters,
                                   seed=args.seed)
     if args.out is not None:
@@ -270,6 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "verify bounds, search for counterexamples.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    bounds = [kind.replace("_", "-") for kind in search_mod.BOUND_KINDS]
 
     def add_command(name, run, summary, *inputs, out=True, seed=False):
         p = sub.add_parser(name, help=summary)
@@ -300,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("verify", _cmd_verify, "Monte Carlo check of an uncertainty bound",
                     "frame_a", "frame_b", seed=True)
-    p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="deutsch")
+    p.add_argument("--bound", choices=bounds, default="deutsch")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--csv", type=Path, default=None, help="per-trial CSV path")
 
@@ -309,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add_command("search", _cmd_search, "minimize the entropy sum against a bound",
                     "frame_a", "frame_b", seed=True)
-    p.add_argument("--bound", choices=sorted(_BOUND_ALIASES), default="maassen-uffink")
+    p.add_argument("--bound", choices=bounds, default="maassen-uffink")
     p.add_argument("--restarts", type=int, default=32)
     p.add_argument("--max-iters", type=int, default=2000)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DimensionMismatch, check_count, check_tolerance
-from .module_space import ModuleVector, header, pairs_from_json, pairs_to_json
+from .module_space import UNIT_TOL, ModuleVector, header, pairs_from_json, pairs_to_json
 
 PARSEVAL_TOL = 1e-9
 
@@ -117,7 +117,7 @@ def reconstruct(frame: Frame, x: ModuleVector) -> ModuleVector:
     return ModuleVector(out[:, :, 0].T)
 
 
-def has_unit_inner_products(frame: Frame, tol: float = 1e-9) -> bool:
+def has_unit_inner_products(frame: Frame, tol: float = UNIT_TOL) -> bool:
     """True iff <tau_j, tau_j> = 1 for every j."""
     check_tolerance("tol", tol)
     a = frame.analysis
@@ -125,23 +125,10 @@ def has_unit_inner_products(frame: Frame, tol: float = 1e-9) -> bool:
     return bool(np.max(np.abs(self_inner - 1.0)) <= tol)
 
 
-def _haar_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via phase-corrected QR of a complex Gaussian."""
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / np.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    q = q * (diag / np.abs(diag))[np.newaxis, :]
-    return q
-
-
 def gen_onb(n: int, d: int, seed: int) -> Frame:
-    """Random orthonormal basis per fiber: rows of an independent Haar unitary."""
-    check_count("n", n, 1)
-    check_count("d", d, 1)
-    check_count("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    rows = np.stack([_haar_unitary(n, rng) for _ in range(d)], axis=0)
-    return Frame(np.conj(rows))
+    """Random orthonormal basis per fiber: the m = n case of ``gen_random_parseval``,
+    whose n x n polar factor is a Haar-distributed unitary."""
+    return gen_random_parseval(n, n, d, seed)
 
 
 def gen_random_parseval(n: int, m: int, d: int, seed: int) -> Frame:

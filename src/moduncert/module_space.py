@@ -121,7 +121,8 @@ def unit_vector_stream(n: int, d: int, seed: int, start: int, count: int) -> np.
     """
     for name, value, low in (("n", n, 1), ("d", d, 1), ("start", start, 0), ("count", count, 0)):
         check_count(name, value, low)
-    if not isinstance(seed, (int, np.integer)) or not 0 <= seed < 2 ** 64:
+    if (isinstance(seed, bool) or not isinstance(seed, (int, np.integer))
+            or not 0 <= seed < 2 ** 64):
         raise ValueError(f"seed must be an integer in [0, 2**64), got {seed!r}")
     nd = n * d
     k = 4 * -(-2 * nd // 4)

@@ -4,28 +4,13 @@ entropy sum against the sharper Maassen-Uffink bound.
 Verification samples unit vectors, evaluates the entropy sum against the
 chosen bound fiberwise in the C(X)-order, and records gaps; the one number
 encoding ``NumberTexts`` turns its per-trial columns into the texts that
-both the JSON report and the per-trial CSV are laid out from.  The search
-minimizes the pointwise-minimum-over-fibers of the entropy sum over
-unit-inner-product vectors.  Everything in sight is fiberwise, so the
-search decouples into one problem per fiber on the unit sphere of C^n,
-solved by Riemannian projected gradient descent (project the Euclidean
-gradient to the tangent space, step, renormalize) from several starts.
-All d*restarts starts descend as one batch against the (d, 2, m, n) stack
-of both frames' analysis arrays.  Each start runs its own Armijo
-backtracking from a Barzilai-Borwein trial step, also where its weights
-vanish.  Once a start's tangent gradient is at most ``NEWTON_TOL`` it is
-polished by Riemannian Newton steps (Absil, Mahony & Sepulchre, Optimization
-Algorithms on Matrix Manifolds, 2008, ch. 6), which converge quadratically
-where gradient steps crawl: the Newton direction, from the Hessian
-``entropy_hessian``, is solved on the horizontal space orthogonal to x and
-i*x as one bordered (KKT) system (Nocedal & Wright, Numerical
-Optimization, 2006, sec. 16.1), taken only when it is a descent direction
-by the angle test, and backtracked by Armijo from step 1; otherwise the
-start keeps its gradient step.  The batch holds the state of the starts
-still running, compacted: a start leaves once, when it stops, and its
-results go to its own index; only partial Newton tails and Armijo halvings
-gather rows.  Entropies use the 0*ln(0) extension so boundary infima --
-where the sharper bound is attained -- are reachable.
+both the JSON report and the per-trial CSV are laid out from.
+
+The search minimizes the pointwise-minimum-over-fibers of the entropy sum
+over unit-inner-product vectors; that decouples into one problem per fiber
+on the unit sphere of C^n, and all d*restarts starts descend as one batch.
+How a start steps, and why starts where a weight vanishes need no path of
+their own, is in the docstring of ``_descend``.
 
 Tolerances are module constants, read at call time from the module that
 defines them: ``VERIFY_GAP_TOL``, ``SEARCH_GAP_TOL`` and ``GRAD_TOL`` here,
@@ -52,7 +37,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import entropy_bounds
-from .algebra import add as algebra_add
 from .entropy_bounds import (
     BuzanoResult,
     buzano_check,
@@ -232,14 +216,14 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
         graze.extend(start + int(s) for s in np.unique(bad_trial) if zeros[s] > 0)
 
     return VerificationReport(
-        trials=trials,
+        trials=int(trials),     # a NumPy integer would not render
         bound_kind=bound_kind,
         bound_value=float(bound),
         mu=mu,
         min_gap=float(trial_gaps.min()),
         violations=tuple(violations),
         boundary_graze_trials=tuple(graze),
-        seed=seed,
+        seed=int(seed),
         frames_digest=frames_digest(frame_a, frame_b),
         trial_gaps=trial_gaps,
         trial_worst_fiber=trial_worst,
@@ -255,7 +239,7 @@ def recompute_gap(frame_a: Frame, frame_b: Frame, x: ModuleVector,
     """
     ea = entropy(frame_a, x)
     eb = entropy(frame_b, x)
-    total = algebra_add(ea.value, eb.value)
+    total = ea.value + eb.value
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
     gap = float(np.min(total.values.real)) - bound
@@ -289,8 +273,9 @@ def _newton(mats, v, g, gt, terms):
     gradients g, tangent gradients gt and kernel terms there.  The entropy sum
     is constant along i*v, so the Newton equation (H - Re<v, g> I) eta = -gt
     is solved on the horizontal space orthogonal to v and i*v, as the bordered
-    system [[H - Re<v, g> I, X], [X^T, 0]] [eta; mu] = [-gt; 0] with
-    X = [v, iv] in [Re, Im] coordinates.  H is the Hessian of the sum, from
+    system [[H - Re<v, g> I, X], [X^T, 0]] [eta; mu] = [-gt; 0] (Nocedal &
+    Wright, Numerical Optimization, 2006, sec. 16.1) with X = [v, iv] in
+    [Re, Im] coordinates.  H is the Hessian of the sum, from
     both frames' rows at once.  A start whose system is exactly singular gets
     NaN."""
     b, n = v.shape
@@ -317,6 +302,11 @@ def _newton(mats, v, g, gt, terms):
 def _descend(pair, fiber, v, max_iters):
     """Riemannian descent on the unit sphere of C^n from every row of v at
     once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
+    Each start takes a Barzilai-Borwein trial step along its tangent
+    gradient, backtracked by Armijo; once that gradient is at most
+    ``NEWTON_TOL`` it tries the Riemannian Newton direction of ``_newton``
+    (Absil, Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds,
+    2008, ch. 6) instead, from step 1, where it passes the angle test.
     Returns, per start, (v, f, iterations, converged, Newton steps, Armijo
     halvings); converged means a stop other than running out of iterations
     (a tangent gradient norm at most ``GRAD_TOL``, no descent found, or
@@ -452,8 +442,8 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         bound_kind=bound_kind,
         bound_value=float(bound),
         mu=mu,
-        restarts=restarts,
-        max_iters=max_iters,
+        restarts=int(restarts),     # a NumPy integer would not render
+        max_iters=int(max_iters),
         iterations_used=int(iters.sum()),
         iterations_per_start=tuple(iters.tolist()),
         runs_at_max_iters=int(np.count_nonzero(~conv)),
@@ -461,7 +451,7 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         line_search_backtracks=int(backtracks.sum()),
         converged=bool(conv[best].all()),
         boundary_grazing=grazing,
-        seed=seed,
+        seed=int(seed),
         frames_digest=frames_digest(frame_a, frame_b),
     )
 
@@ -535,12 +525,6 @@ def trials_to_csv(gaps: NumberTexts, worst_fibers: NumberTexts) -> str:
     and the gaps as ``repr`` spells them."""
     rows = zip(map(str, range(len(gaps))), map(_CSV_SPELLING.get, gaps, gaps), worst_fibers)
     return "\r\n".join(["trial,min_gap,worst_fiber", *map(",".join, rows), ""])
-
-
-def report_to_csv(report: VerificationReport) -> str:
-    """The per-trial CSV of a report, as ``trials_to_csv`` writes it."""
-    return trials_to_csv(NumberTexts(report.trial_gaps.tolist()),
-                         NumberTexts(report.trial_worst_fiber.tolist()))
 
 
 def search_result_to_dict(result: SearchResult) -> dict:

@@ -21,9 +21,10 @@ from moduncert import (
 from moduncert import frames as frames_mod
 from moduncert.cli import main, render_report
 from moduncert.verify_search import (
-    report_to_csv,
+    NumberTexts,
     report_to_dict,
     search_result_to_dict,
+    trials_to_csv,
 )
 
 
@@ -252,6 +253,9 @@ def test_usage_error_exits_1(pair, capsys):
                             f"seed must be an integer in [0, 2**64), got {2 ** 64}")):
         code, out, err = run_cli(capsys, "verify", a, b, *flags)
         assert (code, out, err) == (1, "", f"error: {message}\n")
+    # each bound has one spelling on the command line
+    for command in ("verify", "search"):
+        assert run_cli(capsys, command, a, b, "--bound", "maassen_uffink")[0] == 1
 
 
 def test_gen_rejects_flags_that_do_not_apply(tmp_path, capsys):
@@ -271,6 +275,17 @@ def test_gen_rejects_flags_that_do_not_apply(tmp_path, capsys):
             assert code == 0
             bodies.append(strip_timestamp((out / f"{len(seed)}.json").read_text()))
         assert bodies[0] == bodies[1]
+
+
+def test_gen_onb_is_the_square_random_parseval_frame(tmp_path, capsys):
+    bodies = []
+    for kind in ("onb", "random-parseval"):
+        path = tmp_path / f"{kind}.json"
+        code, _, _ = run_cli(capsys, "gen", "--kind", kind, "--n", "3", "--d", "2",
+                             "--seed", "5", "--out", str(path))
+        assert code == 0
+        bodies.append(strip_timestamp(path.read_text()))
+    assert bodies[0] == bodies[1]
 
 
 def test_out_dir_env_resolves_relative_paths(tmp_path, capsys, monkeypatch):
@@ -456,6 +471,21 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, pair, capsys):
     assert restarts == [3, 32]
 
 
+def test_reports_from_numpy_integer_arguments_render_as_from_ints():
+    fra, frb = gen_random_parseval(3, 5, 2, 1), gen_random_parseval(3, 5, 2, 2)
+    for run, ints, numpy_ints in (
+            (verify, ("deutsch", 4, 3), ("deutsch", 4, np.uint64(3))),
+            (verify, ("deutsch", 4, 3), ("deutsch", np.int64(4), 3)),
+            (minimize_entropy_sum, ("maassen_uffink", 2, 50, 3),
+             ("maassen_uffink", 2, 50, np.int64(3))),
+            (minimize_entropy_sum, ("maassen_uffink", 2, 50, 3),
+             ("maassen_uffink", np.int64(2), np.int64(50), 3))):
+        to_dict = report_to_dict if run is verify else search_result_to_dict
+        want, got = (strip_timestamp(render_report("r", to_dict(run(fra, frb, *args))))
+                     for args in (ints, numpy_ints))
+        assert got == want, (run.__name__, numpy_ints)
+
+
 def _csv_writer_text(report):
     """The per-trial CSV as ``csv.writer`` writes it, one row at a time."""
     buf = io.StringIO(newline="")
@@ -473,7 +503,9 @@ def test_report_to_csv_matches_csv_writer(trials):
     odd = np.array([np.nan, np.inf, -np.inf, -0.0, 1e-300, -2.5e-17, 0.1, 123456789.0])
     for report in (rep, replace(rep, trials=odd.size, trial_gaps=odd,
                                 trial_worst_fiber=np.arange(odd.size) % 4)):
-        got, want = report_to_csv(report), _csv_writer_text(report)
+        got = trials_to_csv(NumberTexts(report.trial_gaps.tolist()),
+                            NumberTexts(report.trial_worst_fiber.tolist()))
+        want = _csv_writer_text(report)
         # a bool, so that a failure names the first difference instead of diffing every row
         same = got == want
         assert same, first_difference(got, want)

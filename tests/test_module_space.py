@@ -136,7 +136,7 @@ def test_unit_vector_stream_rejects_bad_arguments():
     (identity, (1.5,), "d"), (zero, (True,), "d"),
     (gen_onb, (2, 1, 1.5), "seed"), (random_unit_vector, (2, 1, 1.5), "seed"),
     (gen_random_parseval, (2, 3, 1, -1), "seed"), (gen_onb, (2, 1, True), "seed"),
-    (random_unit_vector, (2, 1, True), "seed")])
+    (random_unit_vector, (2, 1, True), "seed"), (unit_vector_stream, (2, 1, True, 0, 1), "seed")])
 def test_sizes_must_be_integers(fn, args, name):
     with pytest.raises(ValueError, match=f"^{name} must be "):
         fn(*args)

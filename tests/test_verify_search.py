@@ -27,11 +27,12 @@ from moduncert import entropy_bounds, verify_search
 from moduncert.entropy_bounds import ZERO_TOL, entropy_hessian, project_tangent
 from moduncert.verify_search import (
     VERIFY_GAP_TOL,
+    NumberTexts,
     bound_value_for,
     canonical_json,
-    report_to_csv,
     report_to_dict,
     search_result_to_dict,
+    trials_to_csv,
 )
 
 
@@ -538,7 +539,8 @@ def test_report_serialization_shapes():
     assert doc["kind"] == "verification"
     assert len(doc["trial_gaps"]) == 10
     assert json.dumps(doc)  # JSON-serializable as-is
-    rows = report_to_csv(rep).split("\r\n")
+    rows = trials_to_csv(NumberTexts(rep.trial_gaps.tolist()),
+                         NumberTexts(rep.trial_worst_fiber.tolist())).split("\r\n")
     assert rows[0] == "trial,min_gap,worst_fiber"
     assert len(rows) == 12 and rows[-1] == ""
     assert float(rows[1].split(",")[1]) == pytest.approx(float(rep.trial_gaps[0]), abs=0)
