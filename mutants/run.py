@@ -70,6 +70,9 @@ MUTANTS = {
     "grad-tol": (SEARCH, "GRAD_TOL = 1e-8 ", "GRAD_TOL = 1e-2 "),
     # the replayed gap is taken at the best fiber instead of the worst
     "replay-best-fiber": (SEARCH, "np.min(total.values.real)", "np.max(total.values.real)"),
+    # the search stacks the first frame twice, so it minimizes 2 S_A instead of S_A + S_B
+    "pair-a-twice": (SEARCH, "[frame_a.analysis, frame_b.analysis]",
+                     "[frame_a.analysis, frame_a.analysis]"),
 }
 # The test of this file's texts reads the unmutated tree; on a mutated copy it
 # would fail on every mutant, so the copies do not run it.

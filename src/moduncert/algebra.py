@@ -12,6 +12,7 @@ Elements are immutable, and +, - and * on them return new elements.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,8 @@ class AlgebraElement:
     """One element of C(X): the value at point t of X is ``values[t]``."""
 
     values: np.ndarray
+    # NumPy defers to these operators, so an array operand is refused, not mapped over
+    __array_ufunc__ = None
 
     def __post_init__(self):
         arr = np.array(self.values, dtype=np.complex128)
@@ -40,18 +43,24 @@ class AlgebraElement:
         return self.values.shape[0]
 
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         _check_same_d(self, other)
         return AlgebraElement(self.values + other.values)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
         _check_same_d(self, other)
         return AlgebraElement(self.values - other.values)
 
     def __mul__(self, other) -> "AlgebraElement":
-        """Pointwise product with an element, commutative by construction, or a scalar."""
+        """Pointwise product with an element, commutative by construction, or a number."""
         if isinstance(other, AlgebraElement):
             _check_same_d(self, other)
             return AlgebraElement(self.values * other.values)
+        if not isinstance(other, numbers.Number):
+            return NotImplemented
         return AlgebraElement(self.values * complex(other))
 
     __rmul__ = __mul__

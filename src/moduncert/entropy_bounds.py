@@ -12,7 +12,10 @@ in_domain flag preserves the strict reading in which no coefficient may
 vanish; the continuous extension is what makes boundary infima of the
 uncertainty functional reachable.  Every evaluation of S, of its
 gradient and of its Hessian goes through ``entropy_terms``,
-``entropy_gradient`` and ``entropy_hessian``.  A weight counts as zero
+``entropy_gradient`` and ``entropy_hessian``, which take a batch of
+(..., n) rows, one fiber of a vector each, against (..., m, n) analysis
+matrices.  Stacking two frames' rows into one (m_a + m_b, n) matrix
+gives the entropy sum S_A + S_B at that fiber.  A weight counts as zero
 at or below ``ZERO_TOL``, which every caller reads at call time.
 
 Bounds: for coherence mu = max_{j,k} ||<tau_j, omega_k>||, the Deutsch
@@ -60,47 +63,42 @@ class EntropyValue:
     zero_coefficient_count: int
 
 
-def fiber_columns(entries: np.ndarray) -> np.ndarray:
-    """(..., n, d) vector entries as (..., d, n, 1) columns, one per fiber."""
-    return np.swapaxes(entries, -1, -2)[..., np.newaxis]
-
-
 def entropy_terms(analysis: np.ndarray, x: np.ndarray):
-    """Coefficients, weights, their logarithms and the entropy of a batch of columns.
+    """Coefficients, weights, their logarithms and the entropy of a batch of rows.
 
-    ``analysis`` is (..., m, n) and ``x`` is (..., n, 1); the two batch
+    ``analysis`` is (..., m, n) and ``x`` is (..., n); the two batch
     shapes broadcast.  Returns ``(c, w, log_w, s)`` with c = A x,
-    w = |c|^2, log_w = ln w where w > ZERO_TOL and 0 elsewhere (so that
-    w ln w := 0 there), and s = -sum_j w_j ln w_j of shape (..., 1).
-    Each column is one matrix-vector product and one contiguous sum, so
-    its results do not depend on what else is in the batch.
+    w = |c|^2 and log_w = ln w where w > ZERO_TOL and 0 elsewhere (so that
+    w ln w := 0 there), each (..., m), and s = -sum_j w_j ln w_j of shape
+    (...).  Each row is one matrix-vector product and one contiguous sum,
+    so its results do not depend on what else is in the batch.
     """
-    c = analysis @ x
+    c = (analysis @ x[..., np.newaxis])[..., 0]
     w = np.abs(c) ** 2
     log_w = np.log(w, out=np.zeros(w.shape), where=w > ZERO_TOL)
-    return c, w, log_w, -np.add.reduce(w * log_w, axis=-2)
+    return c, w, log_w, -np.add.reduce(w * log_w, axis=-1)
 
 
 def entropy_gradient(analysis: np.ndarray, c: np.ndarray, w: np.ndarray,
                      log_w: np.ndarray) -> np.ndarray:
-    """Gradient g = -2 A^H ((ln w + 1) * c) of the entropy at the columns
+    """Gradient g = -2 A^H ((ln w + 1) * c) of the entropy at the rows
     behind ``entropy_terms``, reusing their ``log_w``.  g packs the real and
     imaginary parts of x, so ds = Re(g^H dx); vanished weights add no term,
     matching the continuous extension of the entropy."""
     coeff = np.where(w > ZERO_TOL, log_w + 1.0, 0.0)
-    return -2.0 * (np.conj(np.swapaxes(analysis, -1, -2)) @ (coeff * c))
+    return -2.0 * (np.conj(np.swapaxes(analysis, -1, -2)) @ (coeff * c)[..., np.newaxis])[..., 0]
 
 
 def entropy_hessian(analysis: np.ndarray, c: np.ndarray, w: np.ndarray,
                     log_w: np.ndarray) -> np.ndarray:
     """Real (..., 2n, 2n) Hessian of the entropy in [Re x, Im x] coordinates
-    at the columns behind ``entropy_terms``, reusing their terms.  With R_j
+    at the rows behind ``entropy_terms``, reusing their terms.  With R_j
     the real 2 x 2n form of row j and r_j = R_j^T [Re c_j, Im c_j], weight j
     adds -2 (ln w_j + 1) R_j^T R_j - (4 / w_j) r_j r_j^T; vanished weights
     add nothing, as in ``entropy_gradient``."""
     live = w > ZERO_TOL
-    coeff = np.where(live, -2.0 * (log_w + 1.0), 0.0)
-    inv = np.where(live, 4.0 / np.where(live, w, 1.0), 0.0)
+    coeff = np.where(live, -2.0 * (log_w + 1.0), 0.0)[..., np.newaxis]
+    inv = np.where(live, 4.0 / np.where(live, w, 1.0), 0.0)[..., np.newaxis]
     # sum_j coeff_j R_j^T R_j is the real form [[Re M, -Im M], [Im M, Re M]] of M = A^H diag(coeff) A
     big = np.conj(np.swapaxes(analysis, -1, -2)) @ (coeff * analysis)
     n = big.shape[-1]
@@ -108,7 +106,7 @@ def entropy_hessian(analysis: np.ndarray, c: np.ndarray, w: np.ndarray,
     hess[..., :n, :n] = hess[..., n:, n:] = big.real
     hess[..., n:, :n] = big.imag
     np.negative(big.imag, out=hess[..., :n, n:])
-    r = np.conj(analysis) * c                        # row j: conj(a_j) c_j, i.e. r_j packed
+    r = np.conj(analysis) * c[..., np.newaxis]       # row j: conj(a_j) c_j, i.e. r_j packed
     r = np.concatenate([r.real, r.imag], axis=-1)    # (..., m, 2n)
     return np.subtract(hess, np.swapaxes(r, -1, -2) @ (inv * r), out=hess)
 
@@ -132,10 +130,10 @@ def entropy(frame: Frame, x: ModuleVector, *, strict_unit_frame: bool = False) -
         raise PreconditionError("entropy needs a unit inner product vector")
     if strict_unit_frame and not has_unit_inner_products(frame):
         raise PreconditionError("strict mode: frame vectors must all have unit inner product")
-    _c, w, _log_w, s = entropy_terms(frame.analysis, fiber_columns(x.entries))
+    _c, w, _log_w, s = entropy_terms(frame.analysis, x.entries.T)
     count = int(np.count_nonzero(w <= ZERO_TOL))
     return EntropyValue(
-        value=AlgebraElement(s[:, 0].astype(np.complex128)),
+        value=AlgebraElement(s.astype(np.complex128)),
         in_domain=(count == 0),
         zero_coefficient_count=count,
     )
@@ -187,5 +185,5 @@ def buzano_check(x: ModuleVector, y: ModuleVector, z: ModuleVector) -> BuzanoRes
 
 
 def project_tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """g - Re<v, g> v: gradients projected to the unit sphere at (..., n, 1) columns v."""
-    return g - np.add.reduce(v.real * g.real + v.imag * g.imag, axis=-2, keepdims=True) * v
+    """g - Re<v, g> v: gradients projected to the unit sphere at (..., n) rows v."""
+    return g - np.add.reduce(v.real * g.real + v.imag * g.imag, axis=-1, keepdims=True) * v

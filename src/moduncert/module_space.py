@@ -10,6 +10,7 @@ exact rather than approximate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -47,10 +48,14 @@ class ModuleVector:
         return self.entries.shape[1]
 
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
         _check_same_shape(self, other)
         return ModuleVector(self.entries + other.entries)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
+        if not isinstance(other, ModuleVector):
+            return NotImplemented
         _check_same_shape(self, other)
         return ModuleVector(self.entries - other.entries)
 
@@ -145,17 +150,17 @@ def pairs_from_json(block, shape: tuple[int, ...], what: str) -> np.ndarray:
 
     ``shape`` is (n, d) for one vector's entries, or (m, n, d) for the
     entries of m vectors.  Well-formed input is decoded by one
-    ``np.asarray`` call and one scan of the number types, since NumPy
-    reads JSON's true and false as 1 and 0.  Anything else is walked by
-    ``_check_pairs``, which raises a ValueError naming the vector, row and
-    fiber at fault.
+    ``np.asarray`` call, one finiteness check and one scan of the number
+    types, since NumPy reads JSON's true and false as 1 and 0.  Anything
+    else, JSON's NaN and Infinity among it, is walked by ``_check_pairs``,
+    which raises a ValueError naming the vector, row and fiber at fault.
     """
     try:
         arr = np.asarray(block)
     except (ValueError, TypeError, OverflowError):      # ragged nesting
         arr = None
     if (arr is None or arr.shape != (*shape, 2) or arr.dtype.kind not in "iuf"
-            or _holds_bool(block, len(shape))):
+            or not np.isfinite(arr).all() or _holds_bool(block, len(shape))):
         _check_pairs(block, shape, what)
         arr = np.array(block, dtype=np.float64)         # valid, but ints beyond int64
     return np.ascontiguousarray(arr, dtype=np.float64).view(np.complex128)[..., 0]
@@ -187,7 +192,8 @@ def _check_pairs(block, shape: tuple[int, ...], what: str) -> None:
                     or not all(is_number(u) for u in pair)):
                 raise ValueError(f"{what}: row {i}, fiber {t} is not a [re, im] pair: {pair!r}")
             try:
-                float(pair[0]), float(pair[1])
+                if not all(map(math.isfinite, pair)):
+                    raise ValueError(f"{what}: row {i}, fiber {t} is not finite: {pair!r}")
             except OverflowError:
                 raise ValueError(f"{what}: row {i}, fiber {t} is beyond float range") from None
 

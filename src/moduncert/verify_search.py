@@ -46,7 +46,6 @@ from .entropy_bounds import (
     entropy_gradient,
     entropy_hessian,
     entropy_terms,
-    fiber_columns,
     mu_bound,
     project_tangent,
 )
@@ -176,10 +175,10 @@ def _check_pair(frame_a: Frame, frame_b: Frame) -> None:
 
 
 def _entropies(frame: Frame, xs: np.ndarray):
-    """Entropies (batch, d) of a (batch, d, n, 1) batch of columns and the
-    number of vanished weights per vector; the weights are dropped on return."""
+    """Entropies (batch, d) of a (batch, d, n) batch of rows and the number
+    of vanished weights per vector; the weights are dropped on return."""
     _c, w, _log_w, s = entropy_terms(frame.analysis, xs)
-    return s[..., 0], np.count_nonzero(w <= entropy_bounds.ZERO_TOL, axis=(1, 2, 3))
+    return s, np.count_nonzero(w <= entropy_bounds.ZERO_TOL, axis=(1, 2))
 
 
 def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
@@ -203,7 +202,7 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
     chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // (max(frame_a.m, frame_b.m) * d)))
     for start in range(0, trials, chunk):
         stop = min(start + chunk, trials)
-        xs = fiber_columns(unit_vector_stream(n, d, seed, start, stop - start))
+        xs = np.swapaxes(unit_vector_stream(n, d, seed, start, stop - start), 1, 2)
         sa, za = _entropies(frame_a, xs)
         sb, zb = _entropies(frame_b, xs)
         gaps = (sa + sb) - bound                       # (chunk, d)
@@ -255,19 +254,6 @@ def _normalize(v):
     return v / np.sqrt(_re_inner(v, v))[:, np.newaxis]
 
 
-def _evaluate(mats, v):
-    """Entropy sums of the (batch, n) rows v against their (batch, 2, m, n) frame
-    pairs, and the kernel terms (c, w, log_w) behind them."""
-    c, w, log_w, s = entropy_terms(mats, v[:, np.newaxis, :, np.newaxis])
-    return s[:, 0, 0] + s[:, 1, 0], (c, w, log_w)
-
-
-def _gradient(mats, terms):
-    """Gradients (batch, n) of the entropy sums from their kernel terms."""
-    g = entropy_gradient(mats, *terms)
-    return g[:, 0, :, 0] + g[:, 1, :, 0]
-
-
 def _newton(mats, v, g, gt, terms):
     """Riemannian Newton directions (batch, n) at the unit rows v, from the
     gradients g, tangent gradients gt and kernel terms there.  The entropy sum
@@ -275,14 +261,12 @@ def _newton(mats, v, g, gt, terms):
     is solved on the horizontal space orthogonal to v and i*v, as the bordered
     system [[H - Re<v, g> I, X], [X^T, 0]] [eta; mu] = [-gt; 0] (Nocedal &
     Wright, Numerical Optimization, 2006, sec. 16.1) with X = [v, iv] in
-    [Re, Im] coordinates.  H is the Hessian of the sum, from
-    both frames' rows at once.  A start whose system is exactly singular gets
-    NaN."""
+    [Re, Im] coordinates.  H is the Hessian of the sum, that of the start's
+    stacked matrix.  A start whose system is exactly singular gets NaN."""
     b, n = v.shape
     k = 2 * n
     system = np.zeros((b, k + 2, k + 2))
-    system[:, :k, :k] = entropy_hessian(mats.reshape(b, -1, n),
-                                        *(t.reshape(b, -1, 1) for t in terms))
+    system[:, :k, :k] = entropy_hessian(mats, *terms)
     system.reshape(b, -1)[:, :k * (k + 3):k + 3] -= _re_inner(v, g)[:, np.newaxis]
     # the border X = [x, ix]: x = [Re v, Im v] and ix = [-Im v, Re v]
     system[:, :n, k] = system[:, n:k, k + 1] = system[:, k, :n] = system[:, k + 1, n:k] = v.real
@@ -301,7 +285,8 @@ def _newton(mats, v, g, gt, terms):
 
 def _descend(pair, fiber, v, max_iters):
     """Riemannian descent on the unit sphere of C^n from every row of v at
-    once; start b runs on fiber ``fiber[b]`` of the (d, 2, m, n) ``pair``.
+    once; start b runs on fiber ``fiber[b]`` of the (d, m_a + m_b, n) ``pair``,
+    each fiber's two analysis matrices stacked, whose entropy is the sum.
     Each start takes a Barzilai-Borwein trial step along its tangent
     gradient, backtracked by Armijo; once that gradient is at most
     ``NEWTON_TOL`` it tries the Riemannian Newton direction of ``_newton``
@@ -338,8 +323,8 @@ def _descend(pair, fiber, v, max_iters):
         out_iters[gone], out_conv[gone] = iterations, stopped
 
     orig, mats, v = np.arange(len(v)), pair[fiber], _normalize(v)
-    f, terms = _evaluate(mats, v)
-    g = _gradient(mats, terms)
+    *terms, f = entropy_terms(mats, v)
+    g = entropy_gradient(mats, *terms)
     counts = np.zeros((len(v), 3), dtype=np.int64)
     stall, newton, backs = counts.T
     done = np.zeros(len(v), dtype=bool)
@@ -352,7 +337,7 @@ def _descend(pair, fiber, v, max_iters):
             stall, newton, backs = counts.T
             if not orig.size:
                 break
-        gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
+        gt = project_tangent(g, v)
         s, y = v - prev_v, gt - prev_gt
         gsq, ss, sy = _re_inner(np.array([gt, s, s]), np.array([gt, s, y]))
         gnorm = np.sqrt(gsq)
@@ -374,7 +359,7 @@ def _descend(pair, fiber, v, max_iters):
         # Armijo backtracking per start: the first trial on every row at once,
         # then halvings on the rows still pending; a flat start passes with none
         u = _normalize(v + alpha[:, np.newaxis] * d)
-        fu, new = _evaluate(mats, u)
+        *new, fu = entropy_terms(mats, u)
         ok = (fu <= f + 1e-4 * alpha * slope) | flat
         if not np.logical_and.reduce(ok):
             pending, halvings = (~ok).nonzero()[0], np.where(ok, 0, 59)
@@ -382,7 +367,7 @@ def _descend(pair, fiber, v, max_iters):
             for halved in range(1, 60):
                 pa = pa * 0.5
                 up = _normalize(pv + pa[:, np.newaxis] * pd)
-                fp, newp = _evaluate(pm, up)
+                *newp, fp = entropy_terms(pm, up)
                 okp = fp <= pf + 1e-4 * pa * ps
                 if np.logical_or.reduce(okp):
                     acc = pending[okp]
@@ -397,7 +382,7 @@ def _descend(pair, fiber, v, max_iters):
         done = flat | ~ok       # a refused step, or no descent: these stop where they are
         u[done], fu[done] = v[done], f[done]
         slow = f - fu <= 1e-13 * np.maximum(1.0, np.abs(fu))
-        v, f, terms, g = u, fu, new, _gradient(mats, new)
+        v, f, terms, g = u, fu, new, entropy_gradient(mats, *new)
         newton += use_newton & ~done
         stall[:] = np.where(slow, stall + 1, 0)
         done |= stall >= 8
@@ -427,9 +412,7 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     # start t*restarts + r runs on fiber t from the vector seeded seed ^ that index
     starts = np.stack([random_unit_vector(n, 1, seed ^ unit).entries[:, 0]
                        for unit in range(d * restarts)])
-    # (d, 2, max m, n): the shorter frame's extra rows are zero, weight 0 and no term
-    pair = np.zeros((d, 2, max(frame_a.m, frame_b.m), n), dtype=np.complex128)
-    pair[:, 0, :frame_a.m], pair[:, 1, :frame_b.m] = frame_a.analysis, frame_b.analysis
+    pair = np.concatenate([frame_a.analysis, frame_b.analysis], axis=1)     # (d, m_a + m_b, n)
     v, f, iters, conv, newton, backtracks = _descend(
         pair, np.repeat(np.arange(d), restarts), starts, max_iters)
     best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)

@@ -288,22 +288,22 @@ def test_c8_gradient_check():
         fa = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         fb = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         mats = [fa.analysis[0], fb.analysis[0]]
-        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries   # (n, 1) column
+        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries[:, 0]   # (n,) row
         terms = [entropy_terms(a, v) for a in mats]
         if min(float(w.min()) for _c, w, _l, _s in terms) < 1e-3:
             continue
         g = sum(entropy_gradient(a, c, w, log_w) for a, (c, w, log_w, _s) in zip(mats, terms))
-        gt = project_tangent(g, v)[:, 0]
+        gt = project_tangent(g, v)
         h = 1e-5
         fd = np.zeros(n, dtype=complex)
         for i in range(n):
-            e = np.zeros((n, 1), dtype=complex)
+            e = np.zeros(n, dtype=complex)
             e[i] = 1.0
 
             def fs(delta):
                 u = v + delta
                 u = u / np.linalg.norm(u)
-                return sum(float(entropy_terms(a, u)[3][0]) for a in mats)
+                return sum(float(entropy_terms(a, u)[3]) for a in mats)
 
             fd[i] = ((fs(h * e) - fs(-h * e))
                      + 1j * (fs(1j * h * e) - fs(-1j * h * e))) / (2 * h)

@@ -85,6 +85,20 @@ def test_dimension_mismatch():
         order_geq(identity(2), identity(3), 0.0)
 
 
+def test_foreign_operands_raise_type_error():
+    a = identity(2)
+    for other in (1, 2.0, "2", [1, 1], None):
+        for op in (lambda: a + other, lambda: other + a, lambda: a - other, lambda: other - a):
+            with pytest.raises(TypeError):
+                op()
+    for other in ("2", [1, 1], np.array([1, 1]), None):
+        for op in (lambda: a * other, lambda: other * a):
+            with pytest.raises(TypeError):
+                op()
+    assert np.array_equal((a * 2).values, [2, 2]) and np.array_equal((2j * a).values, [2j, 2j])
+    assert np.array_equal((np.float64(0.5) * a).values, [0.5, 0.5])
+
+
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e6, max_value=1e6)
 
 

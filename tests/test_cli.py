@@ -194,6 +194,29 @@ def test_field_diagnostics_exit_1(tmp_path, pair, capsys):
         assert err.startswith("error: ") and "badfield.json: vector 0: row 0, fiber 0" in err
 
 
+@pytest.mark.parametrize("command", ["buzano", "chain", "coherence"])
+def test_non_finite_entries_exit_1(tmp_path, pair, capsys, command):
+    # Python's json reads NaN and Infinity; a vector or frame holding one is refused
+    a, b = pair
+    run_cli(capsys, "gen", "--kind", "unit-vector", "--n", "2", "--d", "1",
+            "--out", str(tmp_path / "x.json"))
+    x = tmp_path / "x.json"
+    doc = json.loads(x.read_text())
+    doc["entries"][1][0] = [0.5, math.nan]
+    nan_x = tmp_path / "nan_x.json"
+    nan_x.write_text(json.dumps(doc))
+    doc = json.loads(a.read_text())
+    doc["vectors"][1]["entries"][0][0] = [math.inf, 0.0]
+    inf_a = tmp_path / "inf_a.json"
+    inf_a.write_text(json.dumps(doc))
+    argv, where = {"buzano": ((nan_x, x, x), "nan_x.json: row 1, fiber 0"),
+                   "chain": ((inf_a, b, x), "inf_a.json: vector 1: row 0, fiber 0"),
+                   "coherence": ((inf_a, b), "inf_a.json: vector 1: row 0, fiber 0")}[command]
+    code, out, err = run_cli(capsys, command, *map(str, argv))
+    assert code == 1 and not out
+    assert err.startswith("error: ") and f"{where} is not finite" in err
+
+
 def test_non_parseval_exits_1(tmp_path, pair, capsys):
     a, b = pair
     doc = json.loads(a.read_text())

@@ -21,7 +21,6 @@ from moduncert.entropy_bounds import (
     entropy_gradient,
     entropy_hessian,
     entropy_terms,
-    fiber_columns,
     project_tangent,
 )
 from moduncert.frames import restrict_to_fiber
@@ -37,7 +36,7 @@ def entropy_sum_terms(mats, v):
     value, grad, min_w = 0.0, np.zeros_like(v), np.inf
     for a in mats:
         c, w, log_w, s = entropy_terms(a, v)
-        value += float(s[0])
+        value += float(s)
         grad = grad + entropy_gradient(a, c, w, log_w)
         min_w = min(min_w, float(w.min()))
     return value, grad, min_w
@@ -214,15 +213,15 @@ def test_fiber_gradient_matches_finite_differences():
         fa = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         fb = gen_random_parseval(n, m, 1, int(rng.integers(0, 2 ** 31)))
         mats = [fa.analysis[0], fb.analysis[0]]
-        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries   # (n, 1) column
+        v = random_unit_vector(n, 1, int(rng.integers(0, 2 ** 31))).entries[:, 0]   # (n,) row
         f0, g, min_w = entropy_sum_terms(mats, v)
         if min_w < 1e-3:
             continue
-        gt = project_tangent(g, v)[:, 0]
+        gt = project_tangent(g, v)
         h = 1e-5
         fd = np.zeros(n, dtype=complex)
         for i in range(n):
-            e = np.zeros((n, 1), dtype=complex)
+            e = np.zeros(n, dtype=complex)
             e[i] = 1.0
 
             def fs(delta):
@@ -237,8 +236,8 @@ def test_fiber_gradient_matches_finite_differences():
 
 
 def _real_gradient(analysis, x):
-    """Entropy gradient at the (d, n, 1) columns x as (d, 2n) [Re, Im] rows."""
-    g = entropy_gradient(analysis, *entropy_terms(analysis, x)[:3])[..., 0]
+    """Entropy gradient at the (d, n) rows x as (d, 2n) [Re, Im] rows."""
+    g = entropy_gradient(analysis, *entropy_terms(analysis, x)[:3])
     return np.concatenate([g.real, g.imag], axis=-1)
 
 
@@ -250,7 +249,7 @@ def test_entropy_hessian_matches_central_differences_of_the_gradient():
         m = int(rng.integers(n, 9))
         d = int(rng.integers(1, 4))
         a = gen_random_parseval(n, m, d, int(rng.integers(0, 2 ** 31))).analysis
-        x = fiber_columns(random_unit_vector(n, d, int(rng.integers(0, 2 ** 31))).entries)
+        x = random_unit_vector(n, d, int(rng.integers(0, 2 ** 31))).entries.T
         c, w, log_w, _s = entropy_terms(a, x)
         if w.min() < 1e-3:
             continue
@@ -262,7 +261,7 @@ def test_entropy_hessian_matches_central_differences_of_the_gradient():
         h = 1e-6
         fd = np.empty_like(hess)
         for k in range(2 * n):
-            e = np.zeros((n, 1), dtype=complex)
+            e = np.zeros(n, dtype=complex)
             e[k % n] = 1.0 if k < n else 1j
             fd[:, :, k] = (_real_gradient(a, x + h * e) - _real_gradient(a, x - h * e)) / (2 * h)
         assert np.max(np.abs(hess - fd)) / max(1.0, np.max(np.abs(fd))) <= 1e-5
@@ -274,13 +273,35 @@ def test_entropy_hessian_drops_vanished_weights():
     row = fr.analysis[0, 2]                      # make weight 2 vanish
     y = random_unit_vector(3, 1, 13).entries[:, 0]
     y = y - (row @ y) * np.conj(row) / np.vdot(row, row).real
-    x = (y / np.linalg.norm(y))[:, np.newaxis]
+    x = y / np.linalg.norm(y)
     c, w, log_w, _s = entropy_terms(fr.analysis[0], x)
-    assert w[2, 0] <= 1e-12
+    assert w[2] <= 1e-12
     keep = [0, 1, 3, 4]
     dropped = entropy_hessian(fr.analysis[0, keep], c[keep], w[keep], log_w[keep])
     assert np.allclose(entropy_hessian(fr.analysis[0], c, w, log_w), dropped,
                        rtol=0, atol=1e-12)
+
+
+def test_stacked_pair_terms_are_the_sums_of_the_frames_terms():
+    # the search evaluates a frame pair as one (m_a + m_b, n) matrix per fiber: its
+    # entropy, gradient and Hessian are the sums of the two frames' own, up to the
+    # order in which the rows are summed
+    rng = np.random.default_rng(14)
+    for _ in range(50):
+        n = int(rng.integers(2, 6))
+        m_a, m_b = (int(m) for m in rng.choice(np.arange(n, 10), size=2, replace=False))
+        d = int(rng.integers(2, 5))
+        fa = gen_random_parseval(n, m_a, d, int(rng.integers(0, 2 ** 31)))
+        fb = gen_random_parseval(n, m_b, d, int(rng.integers(0, 2 ** 31)))
+        x = random_unit_vector(n, d, int(rng.integers(0, 2 ** 31))).entries.T
+        results = []
+        for a in (np.concatenate([fa.analysis, fb.analysis], axis=1), fa.analysis, fb.analysis):
+            c, w, log_w, s = entropy_terms(a, x)
+            results.append((s, entropy_gradient(a, c, w, log_w), entropy_hessian(a, c, w, log_w)))
+        for stacked, part_a, part_b in zip(*results):
+            want = part_a + part_b
+            assert stacked.shape == want.shape
+            assert np.max(np.abs(stacked - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_entropy_fibers_decouple():
@@ -298,19 +319,19 @@ def test_entropy_fibers_decouple():
 def test_kernel_batch_independence():
     fr = gen_random_parseval(4, 9, 3, 5)
     xs = unit_vector_stream(4, 3, 17, 0, 24)
-    row = fr.analysis[1, 0]                      # make weight 0 of column (0, 1) vanish
+    row = fr.analysis[1, 0]                      # make weight 0 of row (0, 1) vanish
     y = xs[0, :, 1] - (row @ xs[0, :, 1]) * np.conj(row) / np.vdot(row, row).real
     xs[0, :, 1] = y / np.linalg.norm(y)
-    cols = fiber_columns(xs)                     # (24, 3, 4, 1)
-    c, w, log_w, s = entropy_terms(fr.analysis, cols)
+    rows = np.swapaxes(xs, 1, 2)                 # (24, 3, 4)
+    c, w, log_w, s = entropy_terms(fr.analysis, rows)
     g = entropy_gradient(fr.analysis, c, w, log_w)
     for t in range(3):
-        # the same columns batched against one fiber's matrix alone
-        ct, wt, lt, st = entropy_terms(fr.analysis[t], cols[:, t])
+        # the same rows batched against one fiber's matrix alone
+        ct, wt, lt, st = entropy_terms(fr.analysis[t], rows[:, t])
         gt = entropy_gradient(fr.analysis[t], ct, wt, lt)
         assert np.array_equal(st, s[:, t]) and np.array_equal(gt, g[:, t])
         for b in range(24):
-            c1, w1, l1, s1 = entropy_terms(fr.analysis[t], cols[b, t])
+            c1, w1, l1, s1 = entropy_terms(fr.analysis[t], rows[b, t])
             g1 = entropy_gradient(fr.analysis[t], c1, w1, l1)
             assert np.array_equal(s1, s[b, t]) and np.array_equal(g1, g[b, t])
             assert np.array_equal(w1, w[b, t]) and np.array_equal(l1, log_w[b, t])

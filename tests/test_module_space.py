@@ -217,6 +217,18 @@ def test_from_json_diagnostics():
         from_json({"n": 3, "d": 1, "entries": [[[1.0, 0.0]]]})
 
 
+def test_foreign_operands_raise_type_error():
+    x = random_unit_vector(3, 2, 1)
+    for other in (1, 2.0, identity(2), x.entries):
+        for op in (lambda: x + other, lambda: x - other):
+            with pytest.raises(TypeError):
+                op()
+    for other in (1, identity(2)):
+        for op in (lambda: other + x, lambda: other - x):
+            with pytest.raises(TypeError):
+                op()
+
+
 def test_immutability():
     x = random_unit_vector(2, 2, 0)
     with pytest.raises(ValueError):

@@ -24,7 +24,13 @@ from moduncert import (
     verify,
 )
 from moduncert import entropy_bounds, verify_search
-from moduncert.entropy_bounds import ZERO_TOL, entropy_hessian, project_tangent
+from moduncert.entropy_bounds import (
+    ZERO_TOL,
+    entropy_gradient,
+    entropy_hessian,
+    entropy_terms,
+    project_tangent,
+)
 from moduncert.verify_search import (
     VERIFY_GAP_TOL,
     NumberTexts,
@@ -276,14 +282,14 @@ def test_iterations_per_start_sum_and_decouple_across_fibers():
 
 def test_descent_start_is_independent_of_its_batch():
     fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
-    pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
+    pair = np.concatenate([fa.analysis, fb.analysis], axis=1)     # (d, m_a + m_b, n)
     fiber = np.array([0, 1, 0, 1, 0, 1, 0, 1])
     v = unit_vector_stream(3, 1, 123, 0, 8)[:, :, 0]
     for b in (0, 3, 6):      # a vanished weight of the first frame: these starts are stiff
-        row = pair[fiber[b], 0, 0]
+        row = pair[fiber[b], 0]
         v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
-    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v))
-    assert np.all(np.min(terms[1][[0, 3, 6]], axis=(1, 2, 3)) <= 1e-6)
+    *terms, f0 = entropy_terms(pair[fiber], verify_search._normalize(v))
+    assert np.all(np.min(terms[1][[0, 3, 6]], axis=1) <= 1e-6)
     batch = verify_search._descend(pair, fiber, v, 2000)
     f, _iters, conv, newton = batch[1:5]
     # the stiff starts descend and converge like the others, ending in Newton steps
@@ -300,15 +306,15 @@ def test_descent_results_leave_at_each_start_s_own_index(max_iters):
     # already flat (a converged start fed back in), 1, 4 and 7 start stiff, others end
     # in Newton steps, and with max_iters=12 some run out of iterations
     fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
-    pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
+    pair = np.concatenate([fa.analysis, fb.analysis], axis=1)     # (d, m_a + m_b, n)
     fiber = np.arange(10) % 2
     v = unit_vector_stream(3, 1, 141, 0, 10)[:, :, 0]
     for b in (1, 4, 7):      # a vanished weight of the first frame: these starts are stiff
-        row = pair[fiber[b], 0, 0]
+        row = pair[fiber[b], 0]
         v[b] -= (row @ v[b]) * np.conj(row) / np.vdot(row, row).real
     v[0] = verify_search._descend(pair, fiber[:1], v[:1], 2000)[0][0]
-    f0, terms = verify_search._evaluate(pair[fiber], verify_search._normalize(v))
-    assert np.all(np.min(terms[1][[1, 4, 7]], axis=(1, 2, 3)) <= 1e-6)
+    *terms, f0 = entropy_terms(pair[fiber], verify_search._normalize(v))
+    assert np.all(np.min(terms[1][[1, 4, 7]], axis=1) <= 1e-6)
     batch = verify_search._descend(pair, fiber, v, max_iters)
     f, iters, conv, newton = batch[1:5]
     assert iters[0] == 1 and conv[0]
@@ -328,7 +334,7 @@ def test_descent_of_a_batch_in_which_every_start_is_flat():
     # converged starts fed back in: each stops in its first round where it was,
     # with no Newton step and no halving
     fa, fb = gen_random_parseval(3, 5, 2, 121), gen_random_parseval(3, 5, 2, 122)
-    pair = np.stack([fa.analysis, fb.analysis], axis=1)           # (d, 2, m, n)
+    pair = np.concatenate([fa.analysis, fb.analysis], axis=1)     # (d, m_a + m_b, n)
     fiber = np.arange(6) % 2
     v = verify_search._descend(pair, fiber, unit_vector_stream(3, 1, 141, 0, 6)[:, :, 0], 2000)[0]
     out_v, _f, iters, conv, newton, backtracks = verify_search._descend(pair, fiber, v, 2000)
@@ -342,17 +348,18 @@ def test_newton_direction_is_horizontal_and_solves_the_projected_system():
         d, n = 1 + k % 3, int(rng.integers(2, 7))
         m = int(rng.integers(n, 11))
         fa, fb = gen_random_parseval(n, m, d, 1500 + k), gen_random_parseval(n, m, d, 2500 + k)
-        mats = np.stack([fa.analysis, fb.analysis], axis=1)     # one start per fiber
+        mats = np.concatenate([fa.analysis, fb.analysis], axis=1)   # one start per fiber
         v = unit_vector_stream(n, d, 160 + k, 0, 1)[0].T
-        _f, terms = verify_search._evaluate(mats, v)
-        g = verify_search._gradient(mats, terms)
-        gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
+        *terms, _f = entropy_terms(mats, v)
+        g = entropy_gradient(mats, *terms)
+        gt = project_tangent(g, v)
         eta = verify_search._newton(mats, v, g, gt, terms)
         size = np.linalg.norm(eta, axis=1)
         for normal in (v, 1j * v):
             assert np.all(np.abs((normal.conj() * eta).sum(axis=1).real) <= 1e-12 * size)
         # reference: P (H - Re<x,g> I) P + x x^T + (ix)(ix)^T in [Re, Im] coordinates
-        hess = sum(entropy_hessian(mats[:, j], *(t[:, j] for t in terms)) for j in (0, 1))
+        hess = sum(entropy_hessian(mats[:, rows], *(t[:, rows] for t in terms))
+                   for rows in (slice(None, m), slice(m, None)))     # frame a's rows, then b's
         x = np.concatenate([v.real, v.imag], axis=1)[:, :, np.newaxis]
         ix = np.concatenate([-v.imag, v.real], axis=1)[:, :, np.newaxis]
         normal = x @ np.swapaxes(x, 1, 2) + ix @ np.swapaxes(ix, 1, 2)
@@ -367,11 +374,11 @@ def test_newton_direction_is_horizontal_and_solves_the_projected_system():
 def test_newton_direction_survives_a_singular_system():
     fa, fb = gen_random_parseval(3, 5, 1, 131), gen_random_parseval(3, 5, 1, 132)
     # start 1 sees all-zero frames at a basis vector: no Hessian, no gradient, a singular system
-    mats = np.stack([np.stack([fa.analysis[0], fb.analysis[0]]), np.zeros((2, 5, 3))])
+    mats = np.stack([np.concatenate([fa.analysis[0], fb.analysis[0]]), np.zeros((10, 3))])
     v = np.stack([unit_vector_stream(3, 1, 133, 0, 1)[0, :, 0], np.eye(3)[0].astype(complex)])
-    _f, terms = verify_search._evaluate(mats, v)
-    g = verify_search._gradient(mats, terms)
-    gt = project_tangent(g[:, :, np.newaxis], v[:, :, np.newaxis])[:, :, 0]
+    *terms, _f = entropy_terms(mats, v)
+    g = entropy_gradient(mats, *terms)
+    gt = project_tangent(g, v)
     eta = verify_search._newton(mats, v, g, gt, terms)
     alone = verify_search._newton(mats[:1], v[:1], g[:1], gt[:1], [t[:1] for t in terms])
     assert np.array_equal(eta[0], alone[0]) and np.all(np.isfinite(eta[0]))
@@ -451,17 +458,17 @@ def test_search_runs_each_start_up_to_max_iters():
 
 
 def test_search_on_frames_with_different_m():
-    # the shorter frame's rows are padded with zeros, which carry no weight, so
-    # the search equals the one on the pair whose shorter frame has those rows
+    # each fiber's pair is one (3 + 5, 3) matrix; in either frame order, fiber t
+    # runs as the d=1 search on the restricted frames seeded 4 ^ (t*8)
     onb, fb = gen_onb(3, 2, 1), gen_random_parseval(3, 5, 2, 2)
-    padded = Frame(np.concatenate([onb.analysis, np.zeros((2, 2, 3))], axis=1))
     for pair in ((onb, fb), (fb, onb)):
         res = minimize_entropy_sum(*pair, "maassen_uffink", restarts=8, seed=4)
-        same = minimize_entropy_sum(*(padded if fr is onb else fr for fr in pair),
-                                    "maassen_uffink", restarts=8, seed=4)
-        assert res.best_gap == same.best_gap and res.best_gap > 0
-        assert np.array_equal(res.best_x.entries, same.best_x.entries)
-        assert res.iterations_per_start == same.iterations_per_start
+        for t in range(2):
+            sub = minimize_entropy_sum(*(restrict_to_fiber(fr, t) for fr in pair),
+                                       "maassen_uffink", restarts=8, seed=4 ^ (t * 8))
+            assert np.array_equal(sub.best_x.entries[:, 0], res.best_x.entries[:, t])
+            assert sub.iterations_per_start == res.iterations_per_start[8 * t:8 * t + 8]
+        assert res.best_gap > 0
         assert res.best_gap <= verify(*pair, "maassen_uffink", trials=2000, seed=4).min_gap
 
 
