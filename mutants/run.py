@@ -52,6 +52,13 @@ MUTANTS = {
                          "np.nonzero(gaps < -1e-3)"),
     # the right side of Buzano's inequality, and so of the proof chain, is 1.2 times too large
     "buzano-rhs": (BOUNDS, "    rhs = 0.5 * (", "    rhs = 1.2 * 0.5 * ("),
+    # verify keeps the violations of its first span of trials only
+    "verify-first-span": (SEARCH, "for span_violations, _ in results for",
+                          "for span_violations, _ in results[:1] for"),
+    # every span of trials but the first writes its gaps one slot early
+    "verify-gaps-shifted": (SEARCH, "        trial_gaps[start:stop] = gaps.min(axis=1)\n",
+                            "        trial_gaps[start - (start > 0):stop - (start > 0)]"
+                            " = gaps.min(axis=1)\n"),
     # verify looks at fiber 0 only
     "verify-fiber-0": (SEARCH, "gaps = (sa + sb) - bound", "gaps = ((sa + sb) - bound)[:, :1]"),
     # the coherence is a mean over fibers, or 1 % too large
@@ -115,7 +122,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants {unknown}; known: {', '.join(MUTANTS)}", file=sys.stderr)
         return 2
     code, line, elapsed = run_suite(None)
-    print(f"{'unmutated':17} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
+    print(f"{'unmutated':19} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
     if code != 0:
         print("the suite fails on the unmutated tree; no mutant can be judged", file=sys.stderr)
         return 1
@@ -124,7 +131,7 @@ def main(argv: list[str]) -> int:
         code, line, elapsed = run_suite(name)
         if code == 0:
             survivors.append(name)
-        print(f"{name:17} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
+        print(f"{name:19} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
     print(f"{len(argv or MUTANTS) - len(survivors)} killed, {len(survivors)} survived"
           + (f": {', '.join(survivors)}" if survivors else ""))
     return 1 if survivors else 0

@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import AlgebraElement, norm
+from .algebra import AlgebraElement
 from .errors import PreconditionError
 from .frames import (
     PARSEVAL_TOL,
@@ -41,7 +41,7 @@ from .frames import (
     check_vector_shape,
     has_unit_inner_products,
 )
-from .module_space import ModuleVector, inner, is_unit_inner, module_norm
+from .module_space import ModuleVector, check_same_shape, is_unit_inner
 
 # Weights at or below this count as zero for the a*ln(a) := 0 convention.
 ZERO_TOL = 1e-12
@@ -172,16 +172,33 @@ class BuzanoResult(NamedTuple):
     holds: bool
 
 
+def buzano_sides(x: np.ndarray, y: np.ndarray, z: np.ndarray):
+    """Buzano's inequality ||<x,z><z,y>|| <= (||x|| ||y|| + ||<x,y>||) / 2,
+    which holds for z of unit inner product, on (..., n, d) entries arrays
+    x, y and z that broadcast: returns (lhs, rhs, holds), arrays of the
+    broadcast batch shape, holds with slack ``INEQUALITY_TOL``."""
+    def inner(a, b):            # <a, b>(t), fiberwise as in module_space.inner
+        return np.einsum("...it,...it->...t", a, np.conj(b))
+
+    def sup(a):                 # the algebra's sup-norm over the d points
+        return np.max(np.abs(a), axis=-1)
+
+    lhs = sup(inner(x, z) * inner(z, y))
+    rhs = 0.5 * (np.sqrt(sup(inner(x, x))) * np.sqrt(sup(inner(y, y))) + sup(inner(x, y)))
+    return lhs, rhs, lhs <= rhs + INEQUALITY_TOL
+
+
 def buzano_check(x: ModuleVector, y: ModuleVector, z: ModuleVector) -> BuzanoResult:
     """Evaluate ||<x,z><z,y>|| <= (||x|| ||y|| + ||<x,y>||) / 2 for unit z.
 
-    Returns both sides and whether it holds with slack ``INEQUALITY_TOL``.
+    Returns both sides and whether it holds with slack ``INEQUALITY_TOL``
+    (``buzano_sides``).
     """
     if not is_unit_inner(z):
         raise PreconditionError("buzano_check needs <z, z> = 1")
-    lhs = norm(inner(x, z) * inner(z, y))
-    rhs = 0.5 * (module_norm(x) * module_norm(y) + norm(inner(x, y)))
-    return BuzanoResult(lhs=lhs, rhs=rhs, holds=bool(lhs <= rhs + INEQUALITY_TOL))
+    check_same_shape(x, z)
+    check_same_shape(z, y)
+    return BuzanoResult(*(a.item() for a in buzano_sides(x.entries, y.entries, z.entries)))
 
 
 def project_tangent(g: np.ndarray, v: np.ndarray) -> np.ndarray:

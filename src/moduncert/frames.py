@@ -66,10 +66,10 @@ class Frame:
     @property
     def vectors(self) -> tuple[ModuleVector, ...]:
         """The frame vectors tau_j, each an n x d module vector."""
-        return tuple(ModuleVector(e) for e in _synthesis(self))
+        return tuple(ModuleVector(e) for e in synthesis(self))
 
 
-def _synthesis(frame: Frame) -> np.ndarray:
+def synthesis(frame: Frame) -> np.ndarray:
     """(m, n, d) array whose [j] is the entries array of tau_j."""
     return np.conj(frame.analysis).transpose(1, 2, 0)
 
@@ -180,7 +180,7 @@ def to_json(frame: Frame) -> dict:
         "n": n,
         "m": frame.m,
         "d": d,
-        "vectors": [{"n": n, "d": d, "entries": e} for e in pairs_to_json(_synthesis(frame))],
+        "vectors": [{"n": n, "d": d, "entries": e} for e in pairs_to_json(synthesis(frame))],
     }
 
 
@@ -201,5 +201,5 @@ def from_json(data, *, what: str = "frame") -> Frame:
             raise DimensionMismatch(
                 f"{what}: vector {j} has (n={shape[0]}, d={shape[1]}), header says (n={n}, d={d})"
             )
-    synthesis = pairs_from_json([vj["entries"] for vj in vecs_json], (m, n, d), what)
-    return Frame(np.conj(synthesis).transpose(2, 0, 1))
+    entries = pairs_from_json([vj["entries"] for vj in vecs_json], (m, n, d), what)
+    return Frame(np.conj(entries).transpose(2, 0, 1))

@@ -50,20 +50,20 @@ class ModuleVector:
     def __add__(self, other: "ModuleVector") -> "ModuleVector":
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        _check_same_shape(self, other)
+        check_same_shape(self, other)
         return ModuleVector(self.entries + other.entries)
 
     def __sub__(self, other: "ModuleVector") -> "ModuleVector":
         if not isinstance(other, ModuleVector):
             return NotImplemented
-        _check_same_shape(self, other)
+        check_same_shape(self, other)
         return ModuleVector(self.entries - other.entries)
 
     def __neg__(self) -> "ModuleVector":
         return ModuleVector(-self.entries)
 
 
-def _check_same_shape(x: ModuleVector, y: ModuleVector) -> None:
+def check_same_shape(x: ModuleVector, y: ModuleVector) -> None:
     if x.entries.shape != y.entries.shape:
         raise DimensionMismatch(
             f"module vectors have mismatched shapes: {x.entries.shape} vs {y.entries.shape}"
@@ -76,7 +76,7 @@ def inner(x: ModuleVector, y: ModuleVector) -> AlgebraElement:
     Conjugation sits on the second slot, so the product is C(X)-linear
     in the first slot and <x, y> = <y, x>*.
     """
-    _check_same_shape(x, y)
+    check_same_shape(x, y)
     return AlgebraElement(np.sum(x.entries * np.conj(y.entries), axis=0))
 
 
@@ -132,7 +132,7 @@ def unit_vector_stream(n: int, d: int, seed: int, start: int, count: int) -> np.
     nd = n * d
     k = 4 * -(-2 * nd // 4)
     bits = np.random.Philox(key=int(seed))
-    bits.advance(start * k // 4)
+    bits.advance(int(start) * k // 4)        # advance() refuses NumPy integers
     u = np.random.Generator(bits).random((count, k))
     radius = np.sqrt(-2.0 * np.log1p(-u[:, :nd]))        # log(1 - u), finite on [0, 1)
     z = (radius * np.exp(2j * np.pi * u[:, nd:2 * nd])).reshape(count, n, d)

@@ -4,7 +4,11 @@ entropy sum against the sharper Maassen-Uffink bound.
 Verification samples unit vectors, evaluates the entropy sum against the
 chosen bound fiberwise in the C(X)-order, and records gaps; the one number
 encoding ``NumberTexts`` turns its per-trial columns into the texts that
-both the JSON report and the per-trial CSV are laid out from.
+both the JSON report and the per-trial CSV are laid out from.  Its trials
+are cut into contiguous spans, which run on up to W worker threads when
+the process may use W > 1 CPUs, so at most W spans are in flight; NumPy
+releases the GIL on a span's arrays, and the calling thread hashes the
+frames meanwhile.
 
 The search minimizes the pointwise-minimum-over-fibers of the entropy sum
 over unit-inner-product vectors; that decouples into one problem per fiber
@@ -32,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,7 +44,7 @@ import numpy as np
 from . import entropy_bounds
 from .entropy_bounds import (
     BuzanoResult,
-    buzano_check,
+    buzano_sides,
     coherence,
     deutsch_bound,
     entropy,
@@ -51,7 +56,7 @@ from .entropy_bounds import (
 )
 from .errors import PreconditionError, check_count
 from .frames import PARSEVAL_TOL, Frame, check_pair_shape, check_vector_shape
-from .frames import gen_random_parseval
+from .frames import gen_random_parseval, synthesis
 from .frames import to_json as frame_to_json
 from .module_space import (
     ModuleVector,
@@ -70,11 +75,14 @@ NEWTON_TOL = 0.1           # tangent gradient norm at or below which Newton step
 # JSON's spellings of the non-finite floats, and repr's, which the CSV uses
 _CSV_SPELLING = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
-# A vectorized batch holds at most _VERIFY_CHUNK trials and at most
-# _VERIFY_CHUNK_COEFFS coefficients per frame, so that the batch temporaries
-# of large frames stay a few MB.  Neither has an effect on results.
+# Verify cuts its trials into contiguous spans of at most _VERIFY_CHUNK trials
+# and at most _VERIFY_CHUNK_COEFFS coefficients per frame, so that the
+# temporaries of a span stay a few MB on large frames; with W > 1 usable CPUs
+# up to W threads run the spans, so at most W spans' temporaries are alive at
+# once.  None of the three constants has an effect on results.
 _VERIFY_CHUNK = 2048
 _VERIFY_CHUNK_COEFFS = 1 << 18
+_VERIFY_MIN_SPAN = 256
 
 
 @dataclass(frozen=True)
@@ -174,6 +182,14 @@ def _check_pair(frame_a: Frame, frame_b: Frame) -> None:
             raise PreconditionError(f"{name} frame is not Parseval at tol={PARSEVAL_TOL:g}")
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:      # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
 def _entropies(frame: Frame, xs: np.ndarray):
     """Entropies (batch, d) of a (batch, d, n) batch of rows and the number
     of vanished weights per vector; the weights are dropped on return."""
@@ -188,6 +204,16 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
     Trial i draws its vector from ``unit_vector_stream(n, d, seed, i, 1)``,
     unit i of the Philox stream keyed by seed, so any trial is replayable
     in isolation.  ``seed`` must be an integer in [0, 2**64).
+
+    The trials run in contiguous spans of at most ``_VERIFY_CHUNK`` trials
+    (fewer on large frames).  When the process may use W > 1 CPUs and
+    there are at least 2 * ``_VERIFY_MIN_SPAN`` trials, there are at least
+    min(W, trials // ``_VERIFY_MIN_SPAN``) spans and up to W worker threads
+    run them, at most W spans in flight, while this thread computes the
+    frames digest.  The spans' violations and graze trials are merged in
+    span order, so the report does not depend on the layout; an error in a
+    span is raised here once every thread has stopped.  With W = 1, or too
+    few trials for two spans, no thread is started.
     """
     _check_pair(frame_a, frame_b)
     check_count("trials", trials, 1)
@@ -197,22 +223,39 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
 
     trial_gaps = np.empty(trials)
     trial_worst = np.empty(trials, dtype=np.int64)
-    violations: list[tuple[int, int, float]] = []
-    graze: list[int] = []
-    chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // (max(frame_a.m, frame_b.m) * d)))
-    for start in range(0, trials, chunk):
-        stop = min(start + chunk, trials)
+
+    def span(start, stop):
+        """Trials [start, stop): their gaps into the report's columns, and
+        their violations and graze trials returned."""
         xs = np.swapaxes(unit_vector_stream(n, d, seed, start, stop - start), 1, 2)
         sa, za = _entropies(frame_a, xs)
         sb, zb = _entropies(frame_b, xs)
-        gaps = (sa + sb) - bound                       # (chunk, d)
+        gaps = (sa + sb) - bound                       # (stop - start, d)
         trial_gaps[start:stop] = gaps.min(axis=1)
         trial_worst[start:stop] = gaps.argmin(axis=1)
         bad_trial, bad_fiber = np.nonzero(gaps < -VERIFY_GAP_TOL)
-        for s, t in zip(bad_trial, bad_fiber):
-            violations.append((start + int(s), int(t), float(gaps[s, t])))
+        violations = [(start + int(s), int(t), float(gaps[s, t]))
+                      for s, t in zip(bad_trial, bad_fiber)]
         zeros = za + zb
-        graze.extend(start + int(s) for s in np.unique(bad_trial) if zeros[s] > 0)
+        return violations, [start + int(s) for s in np.unique(bad_trial) if zeros[s] > 0]
+
+    workers = _usable_cpus()
+    chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // (max(frame_a.m, frame_b.m) * d)))
+    count = max(-(-trials // chunk), min(workers, trials // _VERIFY_MIN_SPAN))
+    if count > workers:         # as many spans per worker, so that none idles at the end
+        count = -(-count // workers) * workers
+    spans = [(trials * k // count, trials * (k + 1) // count) for k in range(count)]
+    if workers == 1 or count == 1:
+        results = [span(*bounds) for bounds in spans]
+        digest = frames_digest(frame_a, frame_b)
+    else:
+        from concurrent.futures import ThreadPoolExecutor    # 4-5 ms to import: not at load
+        with ThreadPoolExecutor(min(workers, count)) as pool:
+            futures = [pool.submit(span, *bounds) for bounds in spans]
+            digest = frames_digest(frame_a, frame_b)        # holds the GIL; the spans mostly do not
+            results = [future.result() for future in futures]
+    violations = [v for span_violations, _ in results for v in span_violations]
+    graze = [t for _, span_graze in results for t in span_graze]
 
     return VerificationReport(
         trials=int(trials),     # a NumPy integer would not render
@@ -223,7 +266,7 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
         violations=tuple(violations),
         boundary_graze_trials=tuple(graze),
         seed=int(seed),
-        frames_digest=frames_digest(frame_a, frame_b),
+        frames_digest=digest,
         trial_gaps=trial_gaps,
         trial_worst_fiber=trial_worst,
     )
@@ -541,14 +584,16 @@ def proof_chain_check(frame_a: Frame, frame_b: Frame, x: ModuleVector) -> Buzano
         ||<tau_j, x><x, omega_k>|| <= (||tau_j|| ||omega_k|| + ||<tau_j, omega_k>||)/2
 
     for every (j, k), with x of unit inner product.  Each pair is Buzano's
-    inequality, ``buzano_check(tau_j, omega_k, x)``; the result is that of
-    the pair with the largest lhs - rhs, which holds exactly when every
-    pair holds.
+    inequality, which ``buzano_sides`` evaluates for all pairs at once as
+    ``buzano_check(tau_j, omega_k, x)`` does for one; the result is that of
+    the first pair, j-major, with the largest lhs - rhs, which holds exactly
+    when every pair holds.
     """
     if not is_unit_inner(x):
         raise PreconditionError("proof_chain_check needs a unit inner product x")
     check_vector_shape(frame_a, x)
     check_pair_shape(frame_a, frame_b)
-    omegas = frame_b.vectors
-    return max((buzano_check(tau, omega, x) for tau in frame_a.vectors for omega in omegas),
-               key=lambda res: res.lhs - res.rhs)
+    lhs, rhs, holds = buzano_sides(synthesis(frame_a)[:, np.newaxis], synthesis(frame_b),
+                                   x.entries)                   # (m_a, m_b) each
+    first = np.argmax(lhs - rhs)
+    return BuzanoResult(*(a.flat[first].item() for a in (lhs, rhs, holds)))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from moduncert import (
+    DimensionMismatch,
     Frame,
     ModuleVector,
     PreconditionError,
@@ -195,6 +196,14 @@ def test_buzano_random_triples():
         z = random_unit_vector(n, d, int(rng.integers(0, 2 ** 31)))
         res = buzano_check(x, y, z)
         assert res.lhs <= res.rhs + 1e-10
+
+
+def test_buzano_refuses_mismatched_shapes():
+    x, z = random_unit_vector(2, 1, 1), random_unit_vector(3, 1, 2)
+    with pytest.raises(DimensionMismatch):
+        buzano_check(x, x, z)
+    with pytest.raises(DimensionMismatch):
+        buzano_check(z, x, z)
 
 
 def test_buzano_requires_unit_z():

@@ -99,6 +99,12 @@ def test_unit_vector_stream_contract():
     assert unit_vector_stream(6, 4, 123, 5, 0).shape == (0, 6, 4)
 
 
+def test_unit_vector_stream_takes_numpy_integer_offsets():
+    # Philox.advance refuses a NumPy integer, which check_count accepts
+    xs = unit_vector_stream(3, 2, 9, 0, 8)
+    assert np.array_equal(unit_vector_stream(3, 2, 9, np.int64(5), np.int64(3)), xs[5:])
+
+
 def test_unit_vector_stream_adjacent_seeds_share_no_vector():
     # s ^ 1 == s + 1 at s = 2, so per-unit seeds s ^ u would collide
     s = 2

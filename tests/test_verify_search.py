@@ -1,4 +1,6 @@
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -26,11 +28,14 @@ from moduncert import (
 from moduncert import entropy_bounds, verify_search
 from moduncert.entropy_bounds import (
     ZERO_TOL,
+    buzano_check,
+    buzano_sides,
     entropy_gradient,
     entropy_hessian,
     entropy_terms,
     project_tangent,
 )
+from moduncert.frames import synthesis
 from moduncert.verify_search import (
     VERIFY_GAP_TOL,
     NumberTexts,
@@ -161,6 +166,82 @@ def test_verify_chunking_does_not_change_results(monkeypatch):
     monkeypatch.setattr(verify_search, "_VERIFY_CHUNK_COEFFS", 1)
     single = verify(fa, fb, "deutsch", trials=3000, seed=17)
     assert report_to_dict(whole) == report_to_dict(single)
+
+
+def _grazing_pair():
+    # a zero frame vector keeps a frame Parseval and gives every trial a zero weight
+    fa = gen_random_parseval(3, 5, 2, 65)
+    fb = gen_random_parseval(3, 5, 2, 66)
+    return fa, Frame(np.concatenate([fb.analysis, np.zeros((2, 1, 3))], axis=1))
+
+
+@pytest.mark.parametrize("trials", [1, 1001, 3000])
+def test_verify_span_layout_does_not_change_results(monkeypatch, trials):
+    fa, fb = _grazing_pair()
+    monkeypatch.setattr(verify_search, "VERIFY_GAP_TOL", -np.inf)    # every gap violates
+    monkeypatch.setattr(verify_search, "_VERIFY_MIN_SPAN", 7)
+    reports, interval = [], sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)     # threads switch as often as they can
+        for workers in (1, 2, 3, 8):
+            monkeypatch.setattr(verify_search, "_usable_cpus", lambda: workers)
+            reports.append(verify(fa, fb, "deutsch", trials=trials, seed=19))
+    finally:
+        sys.setswitchinterval(interval)
+    want = report_to_dict(reports[0])
+    for rep in reports:
+        assert report_to_dict(rep) == want
+        assert [(t, f) for (t, f, g) in rep.violations] == [
+            (t, f) for t in range(trials) for f in range(2)]
+        assert rep.boundary_graze_trials == tuple(range(trials))
+    # and each trial's gap is its own: trial i replays alone
+    for i in {0, trials // 2, trials - 1}:
+        gap, grazing = recompute_gap(fa, fb, ModuleVector(unit_vector_stream(3, 2, 19, i, 1)[0]),
+                                     "deutsch")
+        assert reports[2].trial_gaps[i] == pytest.approx(gap, abs=1e-12) and grazing
+
+
+def test_verify_threads_raise_span_errors_and_leave_no_thread(monkeypatch):
+    fa, fb = gen_random_parseval(3, 5, 2, 67), gen_random_parseval(3, 5, 2, 68)
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(verify_search, "_VERIFY_MIN_SPAN", 7)
+    before = set(threading.enumerate())
+    verify(fa, fb, "deutsch", trials=1001, seed=3)
+    assert set(threading.enumerate()) == before
+
+    class SpanError(Exception):
+        pass
+
+    error, entropies = SpanError("span of 501 trials"), verify_search._entropies
+
+    def failing(frame, xs):             # the spans are trials [0, 500) and [500, 1001)
+        if len(xs) == 501:
+            raise error
+        return entropies(frame, xs)
+
+    monkeypatch.setattr(verify_search, "_entropies", failing)
+    with pytest.raises(SpanError) as info:
+        verify(fa, fb, "deutsch", trials=1001, seed=3)
+    assert info.value is error
+    assert set(threading.enumerate()) == before
+
+
+def test_verify_on_one_cpu_starts_no_thread(monkeypatch):
+    fa, fb = gen_random_parseval(3, 5, 2, 69), gen_random_parseval(3, 5, 2, 70)
+    want = report_to_dict(verify(fa, fb, "deutsch", trials=5000, seed=4))
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("verify started a thread")
+
+    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 1)
+    assert report_to_dict(verify(fa, fb, "deutsch", trials=5000, seed=4)) == want
+    # too few trials for two spans of _VERIFY_MIN_SPAN: no thread either
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
+    verify(fa, fb, "deutsch", trials=2 * verify_search._VERIFY_MIN_SPAN - 1, seed=4)
+    # and the patch does stop a threaded run
+    with pytest.raises(AssertionError, match="started a thread"):
+        verify(fa, fb, "deutsch", trials=2 * verify_search._VERIFY_MIN_SPAN, seed=4)
 
 
 def test_verify_rejects_seeds_outside_the_stream_key_range():
@@ -621,6 +702,26 @@ def test_proof_chain_random():
         fb = gen_random_parseval(n, m, d, int(rng.integers(0, 2 ** 31)))
         x = random_unit_vector(n, d, int(rng.integers(0, 2 ** 31)))
         assert proof_chain_check(fa, fb, x).holds
+
+
+def test_proof_chain_pairs_match_buzano_check():
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        n, d = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+        fa = gen_random_parseval(n, int(rng.integers(n, 7)), d, int(rng.integers(0, 2 ** 31)))
+        fb = gen_random_parseval(n, int(rng.integers(n, 7)), d, int(rng.integers(0, 2 ** 31)))
+        x = random_unit_vector(n, d, int(rng.integers(0, 2 ** 31)))
+        lhs, rhs, holds = buzano_sides(synthesis(fa)[:, np.newaxis], synthesis(fb), x.entries)
+        pairs = [[buzano_check(tau, omega, x) for omega in fb.vectors] for tau in fa.vectors]
+        for j, row in enumerate(pairs):
+            for k, res in enumerate(row):
+                assert abs(res.lhs - lhs[j, k]) <= 1e-14
+                assert abs(res.rhs - rhs[j, k]) <= 1e-14
+                assert res.holds == holds[j, k]
+        # the first pair, j-major, with the largest lhs - rhs
+        j, k = divmod(int(np.argmax(lhs - rhs)), fb.m)
+        assert proof_chain_check(fa, fb, x) == (lhs[j, k], rhs[j, k], holds[j, k])
+        assert all(lhs[j, k] - rhs[j, k] >= res.lhs - res.rhs - 1e-14 for row in pairs for res in row)
 
 
 def test_proof_chain_saturation():
