@@ -6,9 +6,10 @@ chosen bound fiberwise in the C(X)-order, and records gaps; the one number
 encoding ``NumberTexts`` turns its per-trial columns into the texts that
 both the JSON report and the per-trial CSV are laid out from.  Its trials
 are cut into contiguous spans, which run on up to W worker threads when
-the process may use W > 1 CPUs, so at most W spans are in flight; NumPy
-releases the GIL on a span's arrays, and the calling thread hashes the
-frames meanwhile.
+the process may use W > 1 CPUs, so at most W spans are in flight, sized
+so that together they hold no more than one serial span; NumPy releases
+the GIL on a span's arrays, and the calling thread hashes the frames
+meanwhile.
 
 The search minimizes the pointwise-minimum-over-fibers of the entropy sum
 over unit-inner-product vectors; that decouples into one problem per fiber
@@ -75,13 +76,15 @@ NEWTON_TOL = 0.1           # tangent gradient norm at or below which Newton step
 # JSON's spellings of the non-finite floats, and repr's, which the CSV uses
 _CSV_SPELLING = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
-# Verify cuts its trials into contiguous spans of at most _VERIFY_CHUNK trials
-# and at most _VERIFY_CHUNK_COEFFS coefficients per frame, so that the
-# temporaries of a span stay a few MB on large frames; with W > 1 usable CPUs
-# up to W threads run the spans, so at most W spans' temporaries are alive at
-# once.  None of the three constants has an effect on results.
+# Verify cuts its trials into contiguous spans of at most _VERIFY_CHUNK trials;
+# the spans in flight, one serially or one per thread when T > 1 threads run
+# them, hold at most _VERIFY_CHUNK_COEFFS coefficients per frame between them,
+# so that verify's temporaries stay a few MB on large frames whatever T is.
+# The budget is small because each worker thread's malloc arena keeps what
+# its spans freed: at 1 << 18, two threads peaked 13 % above a serial run on
+# n=32, m=64, d=32 frames.  None of the three constants has an effect on results.
 _VERIFY_CHUNK = 2048
-_VERIFY_CHUNK_COEFFS = 1 << 18
+_VERIFY_CHUNK_COEFFS = 1 << 16
 _VERIFY_MIN_SPAN = 256
 
 
@@ -205,18 +208,20 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
     unit i of the Philox stream keyed by seed, so any trial is replayable
     in isolation.  ``seed`` must be an integer in [0, 2**64).
 
-    The trials run in contiguous spans of at most ``_VERIFY_CHUNK`` trials
-    (fewer on large frames).  When the process may use W > 1 CPUs and
-    there are at least 2 * ``_VERIFY_MIN_SPAN`` trials, there are at least
-    min(W, trials // ``_VERIFY_MIN_SPAN``) spans and up to W worker threads
-    run them, at most W spans in flight, while this thread computes the
-    frames digest.  The spans' violations and graze trials are merged in
-    span order, so the report does not depend on the layout; an error in a
-    span is raised here once every thread has stopped.  With W = 1, or too
-    few trials for two spans, no thread is started.
+    The trials run in contiguous spans of at most ``_VERIFY_CHUNK`` trials.
+    When the process may use W > 1 CPUs and there are at least
+    2 * ``_VERIFY_MIN_SPAN`` trials, T = min(W, trials // ``_VERIFY_MIN_SPAN``)
+    worker threads run at least T spans, at most T in flight, while this
+    thread computes the frames digest; the T spans in flight together hold
+    at most ``_VERIFY_CHUNK_COEFFS`` coefficients per frame, as one span
+    does in a serial run.  The spans' violations and graze trials are
+    merged in span order, so the report does not depend on the layout; an
+    error in a span is raised here once every thread has stopped.  With
+    W = 1, or too few trials for two spans, no thread is started.
     """
     _check_pair(frame_a, frame_b)
     check_count("trials", trials, 1)
+    trials = int(trials)        # a NumPy integer would wrap in the span arithmetic and not render
     mu = coherence(frame_a, frame_b)
     bound = bound_value_for(bound_kind, mu)
     n, d = frame_a.n, frame_a.d
@@ -239,18 +244,17 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
         zeros = za + zb
         return violations, [start + int(s) for s in np.unique(bad_trial) if zeros[s] > 0]
 
-    workers = _usable_cpus()
-    chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // (max(frame_a.m, frame_b.m) * d)))
-    count = max(-(-trials // chunk), min(workers, trials // _VERIFY_MIN_SPAN))
-    if count > workers:         # as many spans per worker, so that none idles at the end
-        count = -(-count // workers) * workers
+    threads = max(1, min(_usable_cpus(), trials // _VERIFY_MIN_SPAN))
+    coeffs = threads * max(frame_a.m, frame_b.m) * d        # per trial, over the spans in flight
+    chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // coeffs))
+    count = max((trials + chunk - 1) // chunk, threads)
     spans = [(trials * k // count, trials * (k + 1) // count) for k in range(count)]
-    if workers == 1 or count == 1:
+    if threads == 1:
         results = [span(*bounds) for bounds in spans]
         digest = frames_digest(frame_a, frame_b)
     else:
         from concurrent.futures import ThreadPoolExecutor    # 4-5 ms to import: not at load
-        with ThreadPoolExecutor(min(workers, count)) as pool:
+        with ThreadPoolExecutor(threads) as pool:
             futures = [pool.submit(span, *bounds) for bounds in spans]
             digest = frames_digest(frame_a, frame_b)        # holds the GIL; the spans mostly do not
             results = [future.result() for future in futures]
@@ -258,7 +262,7 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
     graze = [t for _, span_graze in results for t in span_graze]
 
     return VerificationReport(
-        trials=int(trials),     # a NumPy integer would not render
+        trials=trials,
         bound_kind=bound_kind,
         bound_value=float(bound),
         mu=mu,

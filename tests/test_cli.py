@@ -499,6 +499,8 @@ def test_reports_from_numpy_integer_arguments_render_as_from_ints():
     for run, ints, numpy_ints in (
             (verify, ("deutsch", 4, 3), ("deutsch", 4, np.uint64(3))),
             (verify, ("deutsch", 4, 3), ("deutsch", np.int64(4), 3)),
+            (verify, ("deutsch", 4, 3), ("deutsch", np.uint64(4), 3)),
+            (verify, ("deutsch", 600, 3), ("deutsch", np.uint64(600), np.uint64(3))),
             (minimize_entropy_sum, ("maassen_uffink", 2, 50, 3),
              ("maassen_uffink", 2, 50, np.int64(3))),
             (minimize_entropy_sum, ("maassen_uffink", 2, 50, 3),

@@ -26,6 +26,7 @@ from moduncert import (
     verify,
 )
 from moduncert import entropy_bounds, verify_search
+from moduncert.algebra import norm
 from moduncert.entropy_bounds import (
     ZERO_TOL,
     buzano_check,
@@ -36,6 +37,7 @@ from moduncert.entropy_bounds import (
     project_tangent,
 )
 from moduncert.frames import synthesis
+from moduncert.module_space import inner, module_norm
 from moduncert.verify_search import (
     VERIFY_GAP_TOL,
     NumberTexts,
@@ -183,8 +185,10 @@ def test_verify_span_layout_does_not_change_results(monkeypatch, trials):
     reports, interval = [], sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)     # threads switch as often as they can
-        for workers in (1, 2, 3, 8):
+        # spans of at most 97 trials: more spans than threads
+        for workers, chunk in ((1, 2048), (2, 2048), (3, 2048), (8, 2048), (2, 97), (3, 97)):
             monkeypatch.setattr(verify_search, "_usable_cpus", lambda: workers)
+            monkeypatch.setattr(verify_search, "_VERIFY_CHUNK", chunk)
             reports.append(verify(fa, fb, "deutsch", trials=trials, seed=19))
     finally:
         sys.setswitchinterval(interval)
@@ -224,6 +228,26 @@ def test_verify_threads_raise_span_errors_and_leave_no_thread(monkeypatch):
         verify(fa, fb, "deutsch", trials=1001, seed=3)
     assert info.value is error
     assert set(threading.enumerate()) == before
+
+
+def test_verify_spans_in_flight_share_one_coefficient_budget(monkeypatch):
+    fa, fb = gen_random_parseval(3, 5, 2, 71), gen_random_parseval(3, 4, 2, 72)
+    want = report_to_dict(verify(fa, fb, "deutsch", trials=3000, seed=6))
+    budget, entropies, sizes = 1 << 12, verify_search._entropies, []
+
+    def recording(frame, xs):
+        sizes.append(len(xs))
+        return entropies(frame, xs)
+
+    monkeypatch.setattr(verify_search, "_VERIFY_CHUNK_COEFFS", budget)
+    monkeypatch.setattr(verify_search, "_entropies", recording)
+    for workers in (1, 2, 4, 64):
+        monkeypatch.setattr(verify_search, "_usable_cpus", lambda: workers)
+        sizes.clear()
+        assert report_to_dict(verify(fa, fb, "deutsch", trials=3000, seed=6)) == want
+        threads = min(workers, 3000 // verify_search._VERIFY_MIN_SPAN)
+        assert sum(sizes) == 2 * 3000
+        assert threads * max(sizes) * 5 * 2 <= budget
 
 
 def test_verify_on_one_cpu_starts_no_thread(monkeypatch):
@@ -715,6 +739,12 @@ def test_proof_chain_pairs_match_buzano_check():
         pairs = [[buzano_check(tau, omega, x) for omega in fb.vectors] for tau in fa.vectors]
         for j, row in enumerate(pairs):
             for k, res in enumerate(row):
+                # both sides from the module operations, not from buzano_sides
+                tau, omega = fa.vectors[j], fb.vectors[k]
+                want_lhs = norm(inner(tau, x) * inner(x, omega))
+                want_rhs = 0.5 * (module_norm(tau) * module_norm(omega) + norm(inner(tau, omega)))
+                assert abs(want_lhs - lhs[j, k]) <= 1e-14
+                assert abs(want_rhs - rhs[j, k]) <= 1e-14
                 assert abs(res.lhs - lhs[j, k]) <= 1e-14
                 assert abs(res.rhs - rhs[j, k]) <= 1e-14
                 assert res.holds == holds[j, k]
