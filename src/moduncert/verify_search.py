@@ -81,8 +81,8 @@ _CSV_SPELLING = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 # them, hold at most _VERIFY_CHUNK_COEFFS coefficients per frame between them,
 # so that verify's temporaries stay a few MB on large frames whatever T is.
 # The budget is small because each worker thread's malloc arena keeps what
-# its spans freed: at 1 << 18, two threads peaked 13 % above a serial run on
-# n=32, m=64, d=32 frames.  None of the three constants has an effect on results.
+# its spans freed, on top of what the calling thread's arena holds.  None of
+# the three constants has an effect on results.
 _VERIFY_CHUNK = 2048
 _VERIFY_CHUNK_COEFFS = 1 << 16
 _VERIFY_MIN_SPAN = 256
