@@ -59,6 +59,12 @@ MUTANTS = {
     "verify-gaps-shifted": (SEARCH, "        trial_gaps[start:stop] = gaps.min(axis=1)\n",
                             "        trial_gaps[start - (start > 0):stop - (start > 0)]"
                             " = gaps.min(axis=1)\n"),
+    # a child made by fork keeps its parent's span workers, whose threads it does not have
+    "verify-fork-reset": (SEARCH, "    os.register_at_fork(after_in_child=_forget_workers)\n",
+                          "    pass\n"),
+    # verify hands its spans to W runners, one per usable CPU, instead of T
+    "verify-w-runners": (SEARCH, "_workers.run(runner, threads)",
+                         "_workers.run(runner, workers)"),
     # verify looks at fiber 0 only
     "verify-fiber-0": (SEARCH, "gaps = (sa + sb) - bound", "gaps = ((sa + sb) - bound)[:, :1]"),
     # the coherence is a mean over fibers, or 1 % too large

@@ -5,20 +5,23 @@ Verification samples unit vectors, evaluates the entropy sum against the
 chosen bound fiberwise in the C(X)-order, and records gaps; the one number
 encoding ``NumberTexts`` turns its per-trial columns into the texts that
 both the JSON report and the per-trial CSV are laid out from.  Its trials
-are cut into contiguous spans, which run on up to W worker threads when
-the process may use W > 1 CPUs, so at most W spans are in flight, sized
-so that together they hold no more than one serial span; NumPy releases
-the GIL on a span's arrays, and the calling thread hashes the frames
-meanwhile.
+are cut into contiguous spans of at most 512 trials.  When the process may
+use W > 1 CPUs, up to W of them run at once on worker threads that the
+first threaded call starts and that live as long as the process (a child
+made by fork starts its own), so a call starts no thread; the spans in
+flight together hold no more than one serial span, NumPy releases the GIL
+on a span's arrays, and the calling thread hashes the frames meanwhile.
 
 The search minimizes the pointwise-minimum-over-fibers of the entropy sum
 over unit-inner-product vectors; that decouples into one problem per fiber
 on the unit sphere of C^n, and all d*restarts starts descend as one batch.
 How a start steps, and why starts where a weight vanishes need no path of
-their own, is in the docstring of ``_descend``.
+their own, is in the docstring of ``_descend``.  A minimum with a vanished
+weight is judged at a point moved off the boundary (``_into_interior``).
 
 Tolerances are module constants, read at call time from the module that
-defines them: ``VERIFY_GAP_TOL``, ``SEARCH_GAP_TOL`` and ``GRAD_TOL`` here,
+defines them: ``VERIFY_GAP_TOL``, ``SEARCH_GAP_TOL``, ``GRAD_TOL`` and
+``INTERIOR_STEP`` here,
 ``ZERO_TOL`` and ``INEQUALITY_TOL`` in ``entropy_bounds``.
 
 Determinism contract: every unit of work with user seed S draws the same
@@ -38,6 +41,7 @@ import contextlib
 import hashlib
 import json
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +77,7 @@ VERIFY_GAP_TOL = 1e-9      # gap below -tol counts as a violation
 SEARCH_GAP_TOL = 1e-6      # gap below -tol counts as a counterexample candidate
 GRAD_TOL = 1e-8            # tangent gradient norm stopping threshold
 NEWTON_TOL = 0.1           # tangent gradient norm at or below which Newton steps are tried
+INTERIOR_STEP = 1e-5       # how far a grazing minimum moves off the boundary to be judged
 # JSON's spellings of the non-finite floats, and repr's, which the CSV uses
 _CSV_SPELLING = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
@@ -81,9 +86,12 @@ _CSV_SPELLING = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 # them, hold at most _VERIFY_CHUNK_COEFFS coefficients per frame between them,
 # so that verify's temporaries stay a few MB on large frames whatever T is.
 # The budget is small because each worker thread's malloc arena keeps what
-# its spans freed, on top of what the calling thread's arena holds.  None of
-# the three constants has an effect on results.
-_VERIFY_CHUNK = 2048
+# its spans freed, on top of what the calling thread's arena holds.  Spans
+# hold at most 512 trials because glibc trims the temporaries of a larger
+# span off the heap and the next span faults them back in: a serial
+# 1,024-trial call took 512 minor faults as one span and 280 as two (2 vCPU
+# Xeon, glibc 2.36).  None of the three constants has an effect on results.
+_VERIFY_CHUNK = 512
 _VERIFY_CHUNK_COEFFS = 1 << 16
 _VERIFY_MIN_SPAN = 256
 
@@ -117,7 +125,9 @@ class SearchResult:
 
     ``best_gap`` is recomputed from scratch at report time from the
     assembled ``best_x``; ``boundary_grazing`` marks minima with a
-    weight at or below ``ZERO_TOL``.  ``iterations_per_start``
+    weight at or below ``ZERO_TOL``.  ``interior_gap`` is the gap replayed
+    at ``_into_interior(best_x)`` when ``best_x`` grazes with a gap below
+    -``SEARCH_GAP_TOL``, and ``best_gap`` otherwise.  ``iterations_per_start``
     holds the iterations of each (fiber, restart) run at index
     fiber*restarts + restart, and ``iterations_used`` is their sum.
     ``newton_steps`` counts the accepted Newton steps and
@@ -139,6 +149,7 @@ class SearchResult:
     line_search_backtracks: int
     converged: bool
     boundary_grazing: bool
+    interior_gap: float
     seed: int
     frames_digest: str
 
@@ -194,10 +205,54 @@ def _usable_cpus() -> int:
 
 
 def _entropies(frame: Frame, xs: np.ndarray):
-    """Entropies (batch, d) of a (batch, d, n) batch of rows and the number
-    of vanished weights per vector; the weights are dropped on return."""
-    _c, w, _log_w, s = entropy_terms(frame.analysis, xs)
-    return s, np.count_nonzero(w <= entropy_bounds.ZERO_TOL, axis=(1, 2))
+    """Entropies (batch, d) of a (batch, d, n) batch of rows; the weights and
+    the kernel's other terms are dropped on return."""
+    return entropy_terms(frame.analysis, xs)[3]
+
+
+def _grazes(frame: Frame, xs: np.ndarray):
+    """Whether each vector of a (batch, d, n) batch has a weight at or below
+    ``ZERO_TOL``."""
+    w = entropy_terms(frame.analysis, xs)[1]
+    return np.logical_or.reduce(w <= entropy_bounds.ZERO_TOL, axis=(1, 2))
+
+
+class _Workers:
+    """Verify's span workers: daemon threads, started on first threaded use
+    and only while fewer exist than one call hands runners to, and kept for
+    the life of the process.  Each takes runners from one queue and runs them."""
+
+    def __init__(self):
+        self.lock, self.jobs, self.threads = threading.Lock(), None, 0
+
+    def run(self, runner, count):
+        """Hand ``runner`` to ``count`` workers, starting the ones missing."""
+        with self.lock:
+            if self.jobs is None:
+                import queue                # 1 ms to import: not at load
+                self.jobs = queue.SimpleQueue()
+            while self.threads < count:
+                threading.Thread(target=_work, args=(self.jobs,), daemon=True,
+                                 name=f"moduncert-verify-{self.threads}").start()
+                self.threads += 1
+            for _ in range(count):
+                self.jobs.put(runner)
+
+
+def _work(jobs):
+    for runner in iter(jobs.get, None):     # None stops a worker
+        runner()
+
+
+def _forget_workers():
+    """A child made by fork has none of its parent's threads: it starts its own."""
+    global _workers
+    _workers = _Workers()
+
+
+_workers = _Workers()
+if hasattr(os, "register_at_fork"):     # no fork, no child to reset
+    os.register_at_fork(after_in_child=_forget_workers)
 
 
 def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
@@ -208,16 +263,19 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
     unit i of the Philox stream keyed by seed, so any trial is replayable
     in isolation.  ``seed`` must be an integer in [0, 2**64).
 
-    The trials run in contiguous spans of at most ``_VERIFY_CHUNK`` trials.
-    When the process may use W > 1 CPUs and there are at least
+    The trials run in contiguous spans of at most ``_VERIFY_CHUNK`` = 512
+    trials.  When the process may use W > 1 CPUs and there are at least
     2 * ``_VERIFY_MIN_SPAN`` trials, T = min(W, trials // ``_VERIFY_MIN_SPAN``)
-    worker threads run at least T spans, at most T in flight, while this
-    thread computes the frames digest; the T spans in flight together hold
-    at most ``_VERIFY_CHUNK_COEFFS`` coefficients per frame, as one span
-    does in a serial run.  The spans' violations and graze trials are
-    merged in span order, so the report does not depend on the layout; an
-    error in a span is raised here once every thread has stopped.  With
-    W = 1, or too few trials for two spans, no thread is started.
+    runners on verify's kept worker threads (``_Workers``: started on first
+    use, never joined) take at least T spans from one shared iterator, so
+    at most T are in flight, while this thread computes the frames digest;
+    the T spans in flight together hold at most ``_VERIFY_CHUNK_COEFFS``
+    coefficients per frame, as one span does in a serial run.  The spans'
+    violations and graze trials are merged in span order, so the report
+    does not depend on the layout; an error in a span is raised here once
+    every runner of the call has stopped, the first span's in order if
+    several raised.  With W = 1, or too few trials for two spans, the
+    spans run on this thread and no worker is involved.
     """
     _check_pair(frame_a, frame_b)
     check_count("trials", trials, 1)
@@ -233,18 +291,21 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
         """Trials [start, stop): their gaps into the report's columns, and
         their violations and graze trials returned."""
         xs = np.swapaxes(unit_vector_stream(n, d, seed, start, stop - start), 1, 2)
-        sa, za = _entropies(frame_a, xs)
-        sb, zb = _entropies(frame_b, xs)
+        sa, sb = _entropies(frame_a, xs), _entropies(frame_b, xs)
         gaps = (sa + sb) - bound                       # (stop - start, d)
         trial_gaps[start:stop] = gaps.min(axis=1)
         trial_worst[start:stop] = gaps.argmin(axis=1)
         bad_trial, bad_fiber = np.nonzero(gaps < -VERIFY_GAP_TOL)
         violations = [(start + int(s), int(t), float(gaps[s, t]))
                       for s, t in zip(bad_trial, bad_fiber)]
-        zeros = za + zb
-        return violations, [start + int(s) for s in np.unique(bad_trial) if zeros[s] > 0]
+        if not violations:
+            return [], []
+        bad = np.unique(bad_trial)      # only these trials' weights are looked at again
+        grazes = _grazes(frame_a, xs[bad]) | _grazes(frame_b, xs[bad])
+        return violations, (start + bad[grazes]).tolist()
 
-    threads = max(1, min(_usable_cpus(), trials // _VERIFY_MIN_SPAN))
+    workers = _usable_cpus()
+    threads = max(1, min(workers, trials // _VERIFY_MIN_SPAN))
     coeffs = threads * max(frame_a.m, frame_b.m) * d        # per trial, over the spans in flight
     chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // coeffs))
     count = max((trials + chunk - 1) // chunk, threads)
@@ -253,11 +314,24 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
         results = [span(*bounds) for bounds in spans]
         digest = frames_digest(frame_a, frame_b)
     else:
-        from concurrent.futures import ThreadPoolExecutor    # 4-5 ms to import: not at load
-        with ThreadPoolExecutor(threads) as pool:
-            futures = [pool.submit(span, *bounds) for bounds in spans]
-            digest = frames_digest(frame_a, frame_b)        # holds the GIL; the spans mostly do not
-            results = [future.result() for future in futures]
+        results, errors, todo = [None] * count, [], iter(enumerate(spans))
+        stopped = threading.Semaphore(0)
+
+        def runner():
+            """Run spans from the call's shared iterator until none is left or one raises."""
+            try:
+                for k, bounds in todo:
+                    results[k] = span(*bounds)
+            except BaseException as error:      # raised below, once every runner has stopped
+                errors.append((k, error))
+            stopped.release()
+
+        _workers.run(runner, threads)
+        digest = frames_digest(frame_a, frame_b)        # holds the GIL; the spans mostly do not
+        for _ in range(threads):
+            stopped.acquire()
+        if errors:
+            raise min(errors, key=lambda k_error: k_error[0])[1]
     violations = [v for span_violations, _ in results for v in span_violations]
     graze = [t for _, span_graze in results for t in span_graze]
 
@@ -465,6 +539,9 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
     best = np.arange(d) * restarts + np.argmin(f.reshape(d, restarts), axis=1)
     best_x = ModuleVector(np.ascontiguousarray(v[best].T))
     best_gap, grazing = recompute_gap(frame_a, frame_b, best_x, bound_kind)
+    interior_gap = best_gap
+    if grazing and best_gap < -SEARCH_GAP_TOL:      # judged off the boundary, where it is defined
+        interior_gap, _ = recompute_gap(frame_a, frame_b, _into_interior(best_x), bound_kind)
 
     return SearchResult(
         best_x=best_x,
@@ -481,15 +558,35 @@ def minimize_entropy_sum(frame_a: Frame, frame_b: Frame, bound_kind: str,
         line_search_backtracks=int(backtracks.sum()),
         converged=bool(conv[best].all()),
         boundary_grazing=grazing,
+        interior_gap=interior_gap,
         seed=int(seed),
         frames_digest=frames_digest(frame_a, frame_b),
     )
 
 
+def _into_interior(x: ModuleVector) -> ModuleVector:
+    """x moved by ``INTERIOR_STEP`` toward a fixed generic unit vector y, fiber
+    by fiber, and renormalized.
+
+    A weight |<a, x>|^2 that vanished at x becomes about
+    ``INTERIOR_STEP``**2 |<a, y>|^2 > 0, so the point lies in the strict
+    entropy domain unless the frame vector a is zero, whose weight adds
+    nothing anywhere.  Each such weight w adds w ln(1/w), under 3e-9, to the
+    entropy sum, and one still at or below ``ZERO_TOL`` is dropped, which
+    leaves out under 3e-11.  So a gap below -``SEARCH_GAP_TOL`` at a grazing
+    minimum carries over to this interior point, up to those terms and the
+    sum's change over a step of ``INTERIOR_STEP``.
+    """
+    y = unit_vector_stream(x.n, x.d, 0, 0, 1)[0]
+    z = x.entries + INTERIOR_STEP * y
+    return ModuleVector(z / np.sqrt(np.sum(z.real ** 2 + z.imag ** 2, axis=0)))
+
+
 def is_counterexample_candidate(result: SearchResult) -> bool:
-    """A candidate needs a gap below -``SEARCH_GAP_TOL`` away from the boundary;
-    boundary-grazing minima live outside the strict entropy domain."""
-    return result.best_gap < -SEARCH_GAP_TOL and not result.boundary_grazing
+    """A candidate has a gap below -``SEARCH_GAP_TOL`` at a point of the strict
+    entropy domain: ``best_x`` itself, or, when a weight vanishes there, the
+    point ``_into_interior`` moves it to (``interior_gap``)."""
+    return result.interior_gap < -SEARCH_GAP_TOL
 
 
 def campaign(pairs: int, restarts: int, max_iters: int, seed: int,

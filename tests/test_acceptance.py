@@ -26,6 +26,7 @@ from moduncert import (
     gen_random_parseval,
     inner,
     involution,
+    is_counterexample_candidate,
     is_positive,
     minimize_entropy_sum,
     module_norm,
@@ -256,7 +257,7 @@ def _run_c7():
         info["worst_gap"] = min(info["worst_gap"], res.best_gap)
         doc = search_result_to_dict(res)
         artifacts[f"search_{k:02d}.json"] = render_report("search", doc)
-        if res.best_gap < -1e-6 and not res.boundary_grazing:
+        if is_counterexample_candidate(res):
             info["candidates"].append(k)
             # witness must replay from its serialized form to 1e-9
             x = vector_from_json(json.loads(json.dumps(doc["best_x"])))

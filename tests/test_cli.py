@@ -12,6 +12,7 @@ import pytest
 from moduncert import (
     campaign,
     cli,
+    gen_fourier_pair,
     gen_random_parseval,
     is_counterexample_candidate,
     is_parseval,
@@ -19,6 +20,7 @@ from moduncert import (
     verify,
 )
 from moduncert import frames as frames_mod
+from moduncert import verify_search
 from moduncert.cli import main, render_report
 from moduncert.verify_search import (
     NumberTexts,
@@ -136,6 +138,26 @@ def test_search_command(tmp_path, pair, capsys):
     assert doc["kind"] == "search"
     assert abs(doc["best_gap"]) < 1e-3
     assert doc["boundary_grazing"] is True
+
+
+def _plant_violation(monkeypatch):
+    """Raise the Maassen-Uffink bound by 0.1 nats: a violation of 0.1 everywhere."""
+    mu_bound = verify_search.mu_bound
+    monkeypatch.setattr(verify_search, "mu_bound", lambda mu: mu_bound(mu) + 0.1)
+
+
+def test_search_exits_2_on_a_planted_violation_at_a_grazing_minimum(tmp_path, pair, capsys,
+                                                                     monkeypatch):
+    a, b = pair
+    _plant_violation(monkeypatch)
+    code, out, _ = run_cli(capsys, "search", str(a), str(b),
+                           "--bound", "maassen-uffink", "--restarts", "4",
+                           "--max-iters", "200", "--seed", "5",
+                           "--out", str(tmp_path / "s.json"))
+    assert code == 2
+    assert out.rstrip().endswith("-> CANDIDATE")
+    doc = json.loads((tmp_path / "s.json").read_text())
+    assert doc["boundary_grazing"] is True and doc["best_gap"] < -0.09
 
 
 def test_buzano_and_chain_commands(tmp_path, pair, capsys):
@@ -346,6 +368,27 @@ def test_campaign_records_match_the_library(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["header"]["command"] == "campaign"
     assert doc["records"] == expected
+
+
+def test_campaign_exits_2_on_planted_violations_at_grazing_minima(tmp_path, capsys,
+                                                                  monkeypatch):
+    # every pair is the n=2 Fourier pair, whose minima graze, under the raised bound
+    fourier, drawn = gen_fourier_pair(2, 1), []
+
+    def fourier_frame(n, m, d, seed):
+        drawn.append(seed)
+        return fourier[len(drawn) % 2]
+
+    monkeypatch.setattr(verify_search, "gen_random_parseval", fourier_frame)
+    _plant_violation(monkeypatch)
+    out = tmp_path / "campaign.json"
+    code, stdout, err = run_cli(capsys, "campaign", *CAMPAIGN_FLAGS, "--n-max", "2",
+                                "--m-max", "2", "--d-max", "1", "--out", str(out))
+    assert code == 2 and len(drawn) == 4
+    assert "candidates=2" in stdout
+    assert err.strip() == "counterexample candidates at pairs [0, 1]"
+    doc = json.loads(out.read_text())
+    assert all(r["boundary_grazing"] and r["best_gap"] < -0.09 for r in doc["records"])
 
 
 def test_campaign_candidate_exits_2_with_a_witness(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,9 @@
 import json
+import os
+import signal
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -205,13 +208,37 @@ def test_verify_span_layout_does_not_change_results(monkeypatch, trials):
         assert reports[2].trial_gaps[i] == pytest.approx(gap, abs=1e-12) and grazing
 
 
-def test_verify_threads_raise_span_errors_and_leave_no_thread(monkeypatch):
+@pytest.fixture
+def fresh_workers(monkeypatch):
+    """A pool of verify workers of its own, whose threads are stopped afterwards."""
+    workers, before = verify_search._Workers(), set(threading.enumerate())
+    monkeypatch.setattr(verify_search, "_workers", workers)
+    yield workers
+    started = set(threading.enumerate()) - before
+    for _ in range(workers.threads):
+        workers.jobs.put(None)
+    for thread in started:
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
+def _no_thread(*args, **kwargs):
+    raise AssertionError("verify started a thread")
+
+
+def test_verify_keeps_its_workers_and_raises_span_errors(monkeypatch, fresh_workers):
     fa, fb = gen_random_parseval(3, 5, 2, 67), gen_random_parseval(3, 5, 2, 68)
     monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(verify_search, "_VERIFY_MIN_SPAN", 7)
     before = set(threading.enumerate())
-    verify(fa, fb, "deutsch", trials=1001, seed=3)
-    assert set(threading.enumerate()) == before
+    want = report_to_dict(verify(fa, fb, "deutsch", trials=1001, seed=3))
+    # the first threaded call starts the pool's workers, daemon threads that stay
+    workers = set(threading.enumerate()) - before
+    assert len(workers) == fresh_workers.threads == 2
+    assert all(w.daemon and w.name.startswith("moduncert-verify-") for w in workers)
+    # later calls start none and leave the same threads alive, also when a span raises
+    monkeypatch.setattr(threading, "Thread", _no_thread)
+    assert report_to_dict(verify(fa, fb, "deutsch", trials=1001, seed=3)) == want
 
     class SpanError(Exception):
         pass
@@ -227,7 +254,86 @@ def test_verify_threads_raise_span_errors_and_leave_no_thread(monkeypatch):
     with pytest.raises(SpanError) as info:
         verify(fa, fb, "deutsch", trials=1001, seed=3)
     assert info.value is error
-    assert set(threading.enumerate()) == before
+    assert set(threading.enumerate()) == before | workers
+    # and the call after the error gets its report from the same workers
+    monkeypatch.setattr(verify_search, "_entropies", entropies)
+    assert report_to_dict(verify(fa, fb, "deutsch", trials=1001, seed=3)) == want
+    assert set(threading.enumerate()) == before | workers
+
+
+def test_verify_runs_at_most_t_spans_at_once(monkeypatch, fresh_workers):
+    fa, fb = gen_random_parseval(3, 5, 2, 73), gen_random_parseval(3, 5, 2, 74)
+    want = report_to_dict(verify(fa, fb, "deutsch", trials=60, seed=5))
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 8)
+    monkeypatch.setattr(verify_search, "_VERIFY_MIN_SPAN", 20)
+    verify(fa, fb, "deutsch", trials=160, seed=5)       # T = 8: the pool gets 8 workers
+    assert fresh_workers.threads == 8
+    lock, entropies, running, peak = threading.Lock(), verify_search._entropies, [0], [0]
+
+    def counting(frame, xs):
+        with lock:
+            running[0] += 1
+            peak[0] = max(peak[0], running[0])
+        time.sleep(0.005)               # spans in flight overlap here
+        try:
+            return entropies(frame, xs)
+        finally:
+            with lock:
+                running[0] -= 1
+
+    monkeypatch.setattr(verify_search, "_entropies", counting)
+    monkeypatch.setattr(verify_search, "_VERIFY_CHUNK", 4)
+    # T = min(8, 60 // 20) = 3 of the 8 workers run the 15 spans
+    assert report_to_dict(verify(fa, fb, "deutsch", trials=60, seed=5)) == want
+    assert 2 <= peak[0] <= 3
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_verify_in_a_forked_child_starts_its_own_workers(monkeypatch, fresh_workers):
+    fa, fb = gen_random_parseval(3, 5, 2, 75), gen_random_parseval(3, 5, 2, 76)
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
+    want = report_to_dict(verify(fa, fb, "deutsch", trials=1024, seed=9))
+    assert fresh_workers.threads == 2
+    pid = os.fork()
+    if pid == 0:    # the child exits 0 only with the parent's report, from two threads of its own
+        code = 1
+        try:
+            before = threading.active_count()
+            same = report_to_dict(verify(fa, fb, "deutsch", trials=1024, seed=9)) == want
+            code = 0 if same and threading.active_count() == before + 2 else 3
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 20
+    while not (waited := os.waitpid(pid, os.WNOHANG))[0]:
+        if time.monotonic() > deadline:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("verify in the forked child did not return within 20 s")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(waited[1]) == 0
+
+
+def test_verify_from_two_threads_at_once(monkeypatch):
+    fa, fb = gen_random_parseval(3, 5, 2, 77), gen_random_parseval(3, 5, 2, 78)
+    monkeypatch.setattr(verify_search, "_VERIFY_CHUNK", 97)
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 1)
+    want = [report_to_dict(verify(fa, fb, "deutsch", trials=1500, seed=s)) for s in (1, 2)]
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
+    got, interval = [None, None], sys.getswitchinterval()
+
+    def call(i):
+        got[i] = report_to_dict(verify(fa, fb, "deutsch", trials=1500, seed=i + 1))
+
+    callers = [threading.Thread(target=call, args=(i,)) for i in range(2)]
+    try:
+        sys.setswitchinterval(1e-6)     # threads switch as often as they can
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
 
 
 def test_verify_spans_in_flight_share_one_coefficient_budget(monkeypatch):
@@ -253,17 +359,14 @@ def test_verify_spans_in_flight_share_one_coefficient_budget(monkeypatch):
 def test_verify_on_one_cpu_starts_no_thread(monkeypatch):
     fa, fb = gen_random_parseval(3, 5, 2, 69), gen_random_parseval(3, 5, 2, 70)
     want = report_to_dict(verify(fa, fb, "deutsch", trials=5000, seed=4))
-
-    def no_thread(*args, **kwargs):
-        raise AssertionError("verify started a thread")
-
-    monkeypatch.setattr(threading, "Thread", no_thread)
+    monkeypatch.setattr(threading, "Thread", _no_thread)
     monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 1)
     assert report_to_dict(verify(fa, fb, "deutsch", trials=5000, seed=4)) == want
     # too few trials for two spans of _VERIFY_MIN_SPAN: no thread either
     monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
     verify(fa, fb, "deutsch", trials=2 * verify_search._VERIFY_MIN_SPAN - 1, seed=4)
-    # and the patch does stop a threaded run
+    # and the patch does stop a threaded run on a pool with no worker yet
+    monkeypatch.setattr(verify_search, "_workers", verify_search._Workers())
     with pytest.raises(AssertionError, match="started a thread"):
         verify(fa, fb, "deutsch", trials=2 * verify_search._VERIFY_MIN_SPAN, seed=4)
 
@@ -635,13 +738,50 @@ def test_candidate_classification():
     fra, frb = gen_fourier_pair(2, 1)
     res = minimize_entropy_sum(fra, frb, "maassen_uffink", restarts=8,
                                max_iters=500, seed=3)
-    # interior-negative would be a candidate; grazing minima are not
+    # the gap at a point of the strict domain decides: best_gap's, or for a
+    # grazing minimum the gap at best_x moved into the interior
     assert not is_counterexample_candidate(res)
+    assert res.boundary_grazing and res.interior_gap == res.best_gap
     from dataclasses import replace
-    fake = replace(res, best_gap=-1e-3, boundary_grazing=False)
+    fake = replace(res, best_gap=-1e-3, interior_gap=-1e-3)
     assert is_counterexample_candidate(fake)
-    assert not is_counterexample_candidate(replace(fake, boundary_grazing=True))
-    assert not is_counterexample_candidate(replace(fake, best_gap=-1e-9))
+    assert not is_counterexample_candidate(replace(fake, interior_gap=-1e-9))
+
+
+def _planted(monkeypatch):
+    """Raise the Maassen-Uffink bound by 0.1 nats: a violation of 0.1 everywhere."""
+    mu_bound = verify_search.mu_bound
+    monkeypatch.setattr(verify_search, "mu_bound", lambda mu: mu_bound(mu) + 0.1)
+
+
+def test_search_reports_a_planted_violation_at_a_grazing_minimum(monkeypatch):
+    fra, frb = gen_fourier_pair(2, 1)
+    _planted(monkeypatch)
+    res = minimize_entropy_sum(fra, frb, "maassen_uffink", restarts=8, max_iters=500, seed=3)
+    # the minimum is a basis vector, so it grazes, 0.1 below the raised bound
+    assert res.boundary_grazing and res.best_gap == pytest.approx(-0.1, abs=1e-6)
+    assert res.interior_gap == pytest.approx(-0.1, abs=1e-6)
+    assert is_counterexample_candidate(res)
+    # the interior point is a unit vector with no vanished weight, and it replays
+    x = verify_search._into_interior(res.best_x)
+    assert is_unit_inner(x, 1e-12) and np.max(np.abs(x.entries - res.best_x.entries)) < 2e-5
+    assert recompute_gap(fra, frb, x, "maassen_uffink") == (res.interior_gap, False)
+
+
+def test_campaign_reports_planted_violations_at_grazing_minima(monkeypatch):
+    # every pair is the n=2 Fourier pair, whose minima graze, under the raised bound
+    fourier, drawn = gen_fourier_pair(2, 1), []
+
+    def fourier_frame(n, m, d, seed):
+        drawn.append(seed)
+        return fourier[len(drawn) % 2]
+
+    monkeypatch.setattr(verify_search, "gen_random_parseval", fourier_frame)
+    _planted(monkeypatch)
+    results = [res for _spec, _fa, _fb, res in campaign(3, 4, 500, 5, n_max=2, m_max=2, d_max=1)]
+    assert len(drawn) == 6
+    assert all(res.boundary_grazing and res.best_gap < -0.09 for res in results)
+    assert all(is_counterexample_candidate(res) for res in results)
 
 
 def test_report_serialization_shapes():
