@@ -59,12 +59,12 @@ MUTANTS = {
     "verify-gaps-shifted": (SEARCH, "        trial_gaps[start:stop] = gaps.min(axis=1)\n",
                             "        trial_gaps[start - (start > 0):stop - (start > 0)]"
                             " = gaps.min(axis=1)\n"),
-    # a child made by fork keeps its parent's span workers, whose threads it does not have
-    "verify-fork-reset": (SEARCH, "    os.register_at_fork(after_in_child=_forget_workers)\n",
+    # a child made by fork keeps its parent's executor, whose threads it does not have
+    "verify-fork-reset": (SEARCH, "    os.register_at_fork(after_in_child=_forget_pool)\n",
                           "    pass\n"),
-    # verify hands its spans to W runners, one per usable CPU, instead of T
-    "verify-w-runners": (SEARCH, "_workers.run(runner, threads)",
-                         "_workers.run(runner, workers)"),
+    # each of verify's W spans in flight gets the whole coefficient budget, not 1/W of it
+    "verify-budget-per-span": (SEARCH, "coeffs = workers * max(frame_a.m, frame_b.m) * d",
+                               "coeffs = max(frame_a.m, frame_b.m) * d"),
     # verify looks at fiber 0 only
     "verify-fiber-0": (SEARCH, "gaps = (sa + sb) - bound", "gaps = ((sa + sb) - bound)[:, :1]"),
     # the coherence is a mean over fibers, or 1 % too large
@@ -128,7 +128,7 @@ def main(argv: list[str]) -> int:
         print(f"unknown mutants {unknown}; known: {', '.join(MUTANTS)}", file=sys.stderr)
         return 2
     code, line, elapsed = run_suite(None)
-    print(f"{'unmutated':19} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
+    print(f"{'unmutated':22} {'pass' if code == 0 else 'FAIL'} {elapsed:5.1f}s  {line}", flush=True)
     if code != 0:
         print("the suite fails on the unmutated tree; no mutant can be judged", file=sys.stderr)
         return 1
@@ -137,7 +137,7 @@ def main(argv: list[str]) -> int:
         code, line, elapsed = run_suite(name)
         if code == 0:
             survivors.append(name)
-        print(f"{name:19} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
+        print(f"{name:22} {'killed' if code else 'SURVIVED'} {elapsed:5.1f}s  {line}", flush=True)
     print(f"{len(argv or MUTANTS) - len(survivors)} killed, {len(survivors)} survived"
           + (f": {', '.join(survivors)}" if survivors else ""))
     return 1 if survivors else 0

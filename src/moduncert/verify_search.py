@@ -6,11 +6,11 @@ chosen bound fiberwise in the C(X)-order, and records gaps; the one number
 encoding ``NumberTexts`` turns its per-trial columns into the texts that
 both the JSON report and the per-trial CSV are laid out from.  Its trials
 are cut into contiguous spans of at most 512 trials.  When the process may
-use W > 1 CPUs, up to W of them run at once on worker threads that the
-first threaded call starts and that live as long as the process (a child
-made by fork starts its own), so a call starts no thread; the spans in
-flight together hold no more than one serial span, NumPy releases the GIL
-on a span's arrays, and the calling thread hashes the frames meanwhile.
+use W > 1 CPUs, two or more spans run on an executor of W threads that the
+first threaded call makes and that lives as long as the process (a child
+made by fork makes its own), so a call starts no thread; the W spans in flight
+together hold no more than one serial span, NumPy releases the GIL on a
+span's arrays, and the calling thread hashes the frames meanwhile.
 
 The search minimizes the pointwise-minimum-over-fibers of the entropy sum
 over unit-inner-product vectors; that decouples into one problem per fiber
@@ -81,19 +81,19 @@ INTERIOR_STEP = 1e-5       # how far a grazing minimum moves off the boundary to
 # JSON's spellings of the non-finite floats, and repr's, which the CSV uses
 _CSV_SPELLING = {"NaN": "nan", "Infinity": "inf", "-Infinity": "-inf"}
 
-# Verify cuts its trials into contiguous spans of at most _VERIFY_CHUNK trials;
-# the spans in flight, one serially or one per thread when T > 1 threads run
-# them, hold at most _VERIFY_CHUNK_COEFFS coefficients per frame between them,
-# so that verify's temporaries stay a few MB on large frames whatever T is.
-# The budget is small because each worker thread's malloc arena keeps what
-# its spans freed, on top of what the calling thread's arena holds.  Spans
-# hold at most 512 trials because glibc trims the temporaries of a larger
-# span off the heap and the next span faults them back in: a serial
-# 1,024-trial call took 512 minor faults as one span and 280 as two (2 vCPU
-# Xeon, glibc 2.36).  None of the three constants has an effect on results.
+# Verify cuts its trials into contiguous spans of at most _VERIFY_CHUNK trials.
+# When the process may use W CPUs, the W spans in flight, one per thread of
+# verify's executor, hold at most _VERIFY_CHUNK_COEFFS coefficients per frame
+# between them, so that verify's temporaries stay a few MB on large frames
+# whatever W is.  The budget is small because each executor thread's
+# malloc arena keeps what its spans freed, on top of what the calling
+# thread's arena holds.  Spans hold at most 512 trials because glibc trims
+# the temporaries of a larger span off the heap and the next span faults them
+# back in: a serial 1,024-trial call took 512 minor faults as one span and
+# 280 as two (2 vCPU Xeon, glibc 2.36).  Neither constant has an effect on
+# results.
 _VERIFY_CHUNK = 512
 _VERIFY_CHUNK_COEFFS = 1 << 16
-_VERIFY_MIN_SPAN = 256
 
 
 @dataclass(frozen=True)
@@ -217,42 +217,30 @@ def _grazes(frame: Frame, xs: np.ndarray):
     return np.logical_or.reduce(w <= entropy_bounds.ZERO_TOL, axis=(1, 2))
 
 
-class _Workers:
-    """Verify's span workers: daemon threads, started on first threaded use
-    and only while fewer exist than one call hands runners to, and kept for
-    the life of the process.  Each takes runners from one queue and runs them."""
-
-    def __init__(self):
-        self.lock, self.jobs, self.threads = threading.Lock(), None, 0
-
-    def run(self, runner, count):
-        """Hand ``runner`` to ``count`` workers, starting the ones missing."""
-        with self.lock:
-            if self.jobs is None:
-                import queue                # 1 ms to import: not at load
-                self.jobs = queue.SimpleQueue()
-            while self.threads < count:
-                threading.Thread(target=_work, args=(self.jobs,), daemon=True,
-                                 name=f"moduncert-verify-{self.threads}").start()
-                self.threads += 1
-            for _ in range(count):
-                self.jobs.put(runner)
+_pool, _pool_lock = None, threading.Lock()      # (W, verify's executor of W threads)
 
 
-def _work(jobs):
-    for runner in iter(jobs.get, None):     # None stops a worker
-        runner()
+def _verify_pool(workers):
+    """Verify's executor of ``workers`` threads, made on the first threaded
+    call and kept for the life of the process, so a call starts no thread;
+    made again when the number of usable CPUs changes.  A replaced executor's
+    threads exit once the calls still using it drop it."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != workers:
+            from concurrent.futures import ThreadPoolExecutor     # 13 ms to import: not at load
+            _pool = workers, ThreadPoolExecutor(workers, thread_name_prefix="moduncert-verify")
+        return _pool[1]
 
 
-def _forget_workers():
-    """A child made by fork has none of its parent's threads: it starts its own."""
-    global _workers
-    _workers = _Workers()
+def _forget_pool():
+    """A child made by fork has none of its parent's threads: it makes its own executor."""
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
 
 
-_workers = _Workers()
 if hasattr(os, "register_at_fork"):     # no fork, no child to reset
-    os.register_at_fork(after_in_child=_forget_workers)
+    os.register_at_fork(after_in_child=_forget_pool)
 
 
 def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
@@ -264,18 +252,15 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
     in isolation.  ``seed`` must be an integer in [0, 2**64).
 
     The trials run in contiguous spans of at most ``_VERIFY_CHUNK`` = 512
-    trials.  When the process may use W > 1 CPUs and there are at least
-    2 * ``_VERIFY_MIN_SPAN`` trials, T = min(W, trials // ``_VERIFY_MIN_SPAN``)
-    runners on verify's kept worker threads (``_Workers``: started on first
-    use, never joined) take at least T spans from one shared iterator, so
-    at most T are in flight, while this thread computes the frames digest;
-    the T spans in flight together hold at most ``_VERIFY_CHUNK_COEFFS``
-    coefficients per frame, as one span does in a serial run.  The spans'
-    violations and graze trials are merged in span order, so the report
-    does not depend on the layout; an error in a span is raised here once
-    every runner of the call has stopped, the first span's in order if
-    several raised.  With W = 1, or too few trials for two spans, the
-    spans run on this thread and no worker is involved.
+    trials, and each span holds at most 1/W of ``_VERIFY_CHUNK_COEFFS``
+    coefficients per frame, W being the number of CPUs the process may use.
+    With W > 1 and more than one span, ``Executor.map`` runs the spans on
+    verify's kept executor of W threads (``_verify_pool``), so at most W
+    are in flight, while this thread computes the frames digest; otherwise
+    they run on this thread.  The spans' violations and graze trials are
+    merged in span order, so the report does not depend on the layout.  An
+    error in a span is raised here, the first span's in order if several
+    raised, and the spans not yet started are cancelled.
     """
     _check_pair(frame_a, frame_b)
     check_count("trials", trials, 1)
@@ -305,33 +290,14 @@ def verify(frame_a: Frame, frame_b: Frame, bound_kind: str, trials: int,
         return violations, (start + bad[grazes]).tolist()
 
     workers = _usable_cpus()
-    threads = max(1, min(workers, trials // _VERIFY_MIN_SPAN))
-    coeffs = threads * max(frame_a.m, frame_b.m) * d        # per trial, over the spans in flight
+    coeffs = workers * max(frame_a.m, frame_b.m) * d      # per trial, over the spans in flight
     chunk = max(1, min(_VERIFY_CHUNK, _VERIFY_CHUNK_COEFFS // coeffs))
-    count = max((trials + chunk - 1) // chunk, threads)
-    spans = [(trials * k // count, trials * (k + 1) // count) for k in range(count)]
-    if threads == 1:
-        results = [span(*bounds) for bounds in spans]
-        digest = frames_digest(frame_a, frame_b)
-    else:
-        results, errors, todo = [None] * count, [], iter(enumerate(spans))
-        stopped = threading.Semaphore(0)
-
-        def runner():
-            """Run spans from the call's shared iterator until none is left or one raises."""
-            try:
-                for k, bounds in todo:
-                    results[k] = span(*bounds)
-            except BaseException as error:      # raised below, once every runner has stopped
-                errors.append((k, error))
-            stopped.release()
-
-        _workers.run(runner, threads)
-        digest = frames_digest(frame_a, frame_b)        # holds the GIL; the spans mostly do not
-        for _ in range(threads):
-            stopped.acquire()
-        if errors:
-            raise min(errors, key=lambda k_error: k_error[0])[1]
+    count = (trials + chunk - 1) // chunk
+    bounds = [trials * k // count for k in range(count + 1)]
+    results = (_verify_pool(workers).map if workers > 1 and count > 1 else map)(
+        span, bounds[:-1], bounds[1:])
+    digest = frames_digest(frame_a, frame_b)        # holds the GIL; threaded spans mostly do not
+    results = list(results)
     violations = [v for span_violations, _ in results for v in span_violations]
     graze = [t for _, span_graze in results for t in span_graze]
 

@@ -1,6 +1,7 @@
 import json
 import os
 import signal
+import subprocess
 import sys
 import threading
 import time
@@ -184,12 +185,12 @@ def _grazing_pair():
 def test_verify_span_layout_does_not_change_results(monkeypatch, trials):
     fa, fb = _grazing_pair()
     monkeypatch.setattr(verify_search, "VERIFY_GAP_TOL", -np.inf)    # every gap violates
-    monkeypatch.setattr(verify_search, "_VERIFY_MIN_SPAN", 7)
     reports, interval = [], sys.getswitchinterval()
     try:
         sys.setswitchinterval(1e-6)     # threads switch as often as they can
-        # spans of at most 97 trials: more spans than threads
-        for workers, chunk in ((1, 2048), (2, 2048), (3, 2048), (8, 2048), (2, 97), (3, 97)):
+        # one span per thread, then spans of at most 97 trials: more spans than threads
+        for workers, chunk in ((1, 2048), *((w, -(-trials // w)) for w in (2, 3, 8)),
+                               (2, 97), (3, 97)):
             monkeypatch.setattr(verify_search, "_usable_cpus", lambda: workers)
             monkeypatch.setattr(verify_search, "_VERIFY_CHUNK", chunk)
             reports.append(verify(fa, fb, "deutsch", trials=trials, seed=19))
@@ -210,14 +211,21 @@ def test_verify_span_layout_does_not_change_results(monkeypatch, trials):
 
 @pytest.fixture
 def fresh_workers(monkeypatch):
-    """A pool of verify workers of its own, whose threads are stopped afterwards."""
-    workers, before = verify_search._Workers(), set(threading.enumerate())
-    monkeypatch.setattr(verify_search, "_workers", workers)
-    yield workers
-    started = set(threading.enumerate()) - before
-    for _ in range(workers.threads):
-        workers.jobs.put(None)
-    for thread in started:
+    """A test of its own executor: the test starts with none and gets a call
+    that shuts the current one down, so that the next threaded call makes a
+    new one.  It is called after the test, and every thread the test
+    started is joined."""
+    before = set(threading.enumerate())
+    monkeypatch.setattr(verify_search, "_pool", None)
+
+    def fresh():
+        if verify_search._pool is not None:
+            verify_search._pool[1].shutdown(wait=True)
+        verify_search._pool = None
+
+    yield fresh
+    fresh()
+    for thread in set(threading.enumerate()) - before:     # also those of replaced executors
         thread.join(timeout=10)
         assert not thread.is_alive()
 
@@ -226,16 +234,29 @@ def _no_thread(*args, **kwargs):
     raise AssertionError("verify started a thread")
 
 
+def _meeting():
+    """An ``_entropies`` at which two spans wait for each other, so each of
+    them runs on a thread of its own."""
+    entropies, barrier = verify_search._entropies, threading.Barrier(2, timeout=10)
+
+    def meeting(frame, xs):
+        barrier.wait()
+        return entropies(frame, xs)
+
+    return meeting
+
+
 def test_verify_keeps_its_workers_and_raises_span_errors(monkeypatch, fresh_workers):
     fa, fb = gen_random_parseval(3, 5, 2, 67), gen_random_parseval(3, 5, 2, 68)
     monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(verify_search, "_VERIFY_MIN_SPAN", 7)
-    before = set(threading.enumerate())
+    before, entropies = set(threading.enumerate()), verify_search._entropies
+    monkeypatch.setattr(verify_search, "_entropies", _meeting())
     want = report_to_dict(verify(fa, fb, "deutsch", trials=1001, seed=3))
-    # the first threaded call starts the pool's workers, daemon threads that stay
+    monkeypatch.setattr(verify_search, "_entropies", entropies)
+    # the first threaded call starts the executor's threads, which stay
     workers = set(threading.enumerate()) - before
-    assert len(workers) == fresh_workers.threads == 2
-    assert all(w.daemon and w.name.startswith("moduncert-verify-") for w in workers)
+    assert len(workers) == 2
+    assert all(w.name.startswith("moduncert-verify") for w in workers)
     # later calls start none and leave the same threads alive, also when a span raises
     monkeypatch.setattr(threading, "Thread", _no_thread)
     assert report_to_dict(verify(fa, fb, "deutsch", trials=1001, seed=3)) == want
@@ -243,7 +264,7 @@ def test_verify_keeps_its_workers_and_raises_span_errors(monkeypatch, fresh_work
     class SpanError(Exception):
         pass
 
-    error, entropies = SpanError("span of 501 trials"), verify_search._entropies
+    error = SpanError("span of 501 trials")
 
     def failing(frame, xs):             # the spans are trials [0, 500) and [500, 1001)
         if len(xs) == 501:
@@ -261,13 +282,10 @@ def test_verify_keeps_its_workers_and_raises_span_errors(monkeypatch, fresh_work
     assert set(threading.enumerate()) == before | workers
 
 
-def test_verify_runs_at_most_t_spans_at_once(monkeypatch, fresh_workers):
+def test_verify_runs_at_most_w_spans_at_once(monkeypatch, fresh_workers):
     fa, fb = gen_random_parseval(3, 5, 2, 73), gen_random_parseval(3, 5, 2, 74)
     want = report_to_dict(verify(fa, fb, "deutsch", trials=60, seed=5))
-    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 8)
-    monkeypatch.setattr(verify_search, "_VERIFY_MIN_SPAN", 20)
-    verify(fa, fb, "deutsch", trials=160, seed=5)       # T = 8: the pool gets 8 workers
-    assert fresh_workers.threads == 8
+    monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 3)
     lock, entropies, running, peak = threading.Lock(), verify_search._entropies, [0], [0]
 
     def counting(frame, xs):
@@ -283,7 +301,7 @@ def test_verify_runs_at_most_t_spans_at_once(monkeypatch, fresh_workers):
 
     monkeypatch.setattr(verify_search, "_entropies", counting)
     monkeypatch.setattr(verify_search, "_VERIFY_CHUNK", 4)
-    # T = min(8, 60 // 20) = 3 of the 8 workers run the 15 spans
+    # the W = 3 threads run the 15 spans
     assert report_to_dict(verify(fa, fb, "deutsch", trials=60, seed=5)) == want
     assert 2 <= peak[0] <= 3
 
@@ -292,12 +310,16 @@ def test_verify_runs_at_most_t_spans_at_once(monkeypatch, fresh_workers):
 def test_verify_in_a_forked_child_starts_its_own_workers(monkeypatch, fresh_workers):
     fa, fb = gen_random_parseval(3, 5, 2, 75), gen_random_parseval(3, 5, 2, 76)
     monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
+    before, entropies = set(threading.enumerate()), verify_search._entropies
+    monkeypatch.setattr(verify_search, "_entropies", _meeting())
     want = report_to_dict(verify(fa, fb, "deutsch", trials=1024, seed=9))
-    assert fresh_workers.threads == 2
+    monkeypatch.setattr(verify_search, "_entropies", entropies)
+    assert len(set(threading.enumerate()) - before) == 2
     pid = os.fork()
     if pid == 0:    # the child exits 0 only with the parent's report, from two threads of its own
         code = 1
         try:
+            verify_search._entropies = _meeting()
             before = threading.active_count()
             same = report_to_dict(verify(fa, fb, "deutsch", trials=1024, seed=9)) == want
             code = 0 if same and threading.active_count() == before + 2 else 3
@@ -336,7 +358,7 @@ def test_verify_from_two_threads_at_once(monkeypatch):
     assert got == want
 
 
-def test_verify_spans_in_flight_share_one_coefficient_budget(monkeypatch):
+def test_verify_spans_in_flight_share_one_coefficient_budget(monkeypatch, fresh_workers):
     fa, fb = gen_random_parseval(3, 5, 2, 71), gen_random_parseval(3, 4, 2, 72)
     want = report_to_dict(verify(fa, fb, "deutsch", trials=3000, seed=6))
     budget, entropies, sizes = 1 << 12, verify_search._entropies, []
@@ -351,24 +373,46 @@ def test_verify_spans_in_flight_share_one_coefficient_budget(monkeypatch):
         monkeypatch.setattr(verify_search, "_usable_cpus", lambda: workers)
         sizes.clear()
         assert report_to_dict(verify(fa, fb, "deutsch", trials=3000, seed=6)) == want
-        threads = min(workers, 3000 // verify_search._VERIFY_MIN_SPAN)
         assert sum(sizes) == 2 * 3000
-        assert threads * max(sizes) * 5 * 2 <= budget
+        assert workers * max(sizes) * 5 * 2 <= budget
 
 
-def test_verify_on_one_cpu_starts_no_thread(monkeypatch):
+def test_verify_on_one_cpu_starts_no_thread(monkeypatch, fresh_workers):
     fa, fb = gen_random_parseval(3, 5, 2, 69), gen_random_parseval(3, 5, 2, 70)
     want = report_to_dict(verify(fa, fb, "deutsch", trials=5000, seed=4))
     monkeypatch.setattr(threading, "Thread", _no_thread)
     monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 1)
     assert report_to_dict(verify(fa, fb, "deutsch", trials=5000, seed=4)) == want
-    # too few trials for two spans of _VERIFY_MIN_SPAN: no thread either
+    # trials for one span only: no thread either
     monkeypatch.setattr(verify_search, "_usable_cpus", lambda: 2)
-    verify(fa, fb, "deutsch", trials=2 * verify_search._VERIFY_MIN_SPAN - 1, seed=4)
-    # and the patch does stop a threaded run on a pool with no worker yet
-    monkeypatch.setattr(verify_search, "_workers", verify_search._Workers())
+    verify(fa, fb, "deutsch", trials=verify_search._VERIFY_CHUNK, seed=4)
+    # and the patch does stop a threaded run on an executor with no thread yet
+    fresh_workers()
     with pytest.raises(AssertionError, match="started a thread"):
-        verify(fa, fb, "deutsch", trials=2 * verify_search._VERIFY_MIN_SPAN, seed=4)
+        verify(fa, fb, "deutsch", trials=verify_search._VERIFY_CHUNK + 1, seed=4)
+
+
+def test_verify_threads_let_the_interpreter_exit():
+    # the executor's threads are not daemon threads: interpreter exit must still join them
+    code = ("import threading\n"
+            "from moduncert import gen_random_parseval, verify_search\n"
+            "verify_search._usable_cpus = lambda: 2\n"
+            "fa, fb = gen_random_parseval(3, 5, 2, 79), gen_random_parseval(3, 5, 2, 80)\n"
+            "verify_search.verify(fa, fb, 'deutsch', trials=1024, seed=1)\n"
+            "print(threading.active_count() > 1)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(verify_search.__file__)))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=20)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True\n"
+
+
+def test_usable_cpus_falls_back_to_the_cpu_count(monkeypatch):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 5)
+    assert verify_search._usable_cpus() == 5
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert verify_search._usable_cpus() == 1
 
 
 def test_verify_rejects_seeds_outside_the_stream_key_range():
